@@ -23,6 +23,7 @@ from .classifier import (
     train,
 )
 from .dataset import (
+    HardwareDim,
     Session,
     SessionItem,
     SplitPlan,
@@ -33,6 +34,7 @@ from .dataset import (
     load_session,
     run_code_session,
     run_session,
+    simulate,
 )
 from .emanator import (
     ChannelModel,

@@ -72,6 +72,12 @@ class CnnSpec:
         )
 
 
+def log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise log-probabilities of a (batch, classes) logit array."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
 class _Conv:
     """Valid 5x5 convolution as an im2col matrix product.
 
@@ -245,9 +251,7 @@ class CnnModel:
         logits = self.forward(x)
         y = np.asarray(y)
         n = logits.shape[0]
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        logsumexp = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-        logp = shifted - logsumexp
+        logp = log_softmax(logits)
         loss = float(-logp[np.arange(n), y].mean())
         g = np.exp(logp)
         g[np.arange(n), y] -= 1.0
@@ -275,10 +279,7 @@ class CnnModel:
                 pos += p.size
 
     def softmax(self, x: np.ndarray) -> np.ndarray:
-        logits = self.forward(x)
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=1, keepdims=True)
+        return np.exp(log_softmax(self.forward(x)))
 
     def predict_batch(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         probs = self.softmax(x)
@@ -347,8 +348,7 @@ def evaluate(model: CnnModel, x: np.ndarray, y: np.ndarray, batch_size: int = 51
     for i in range(0, len(x), batch_size):
         yb = y[i : i + batch_size]
         logits = model.forward(x[i : i + batch_size])
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        logp = log_softmax(logits)
         loss_sum += float(-logp[np.arange(len(yb)), yb].sum())
         hits += int((logits.argmax(axis=1) == yb).sum())
     return loss_sum / len(x), hits / len(x)

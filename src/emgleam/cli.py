@@ -178,7 +178,7 @@ def _cmd_session(args) -> int:
 
     root = _data_dir(args.output)
     profile = get_profile(args.profile)
-    snr = None if args.snr.lower() in ("none", "off") else float(args.snr)
+    snr = None if args.snr.lower() in ("none", "off", "default") else float(args.snr)
     if args.kind == "grid":
         session = run_session(
             profile, root, session_id=args.id,

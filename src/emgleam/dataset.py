@@ -4,7 +4,8 @@ A session replays the profiling loop end to end in simulation: render a
 screen, radiate it, capture, reconstruct, crop, save labeled items.  Grid
 sessions tile the screen with digits (the multi-crop scheme: one captured
 screen yields rows x cols labeled crops); code sessions render mock push
-messages and save the six-digit code region.
+messages and save the six-digit code region.  Every simulated screen, the
+testbed's stimuli included, goes through ``simulate``.
 
 Dataset layout on disk:
 
@@ -27,13 +28,55 @@ from .emanator import ChannelModel, emanate
 from .emanator import capture as capture_iq
 from .errors import ValidationError
 from .profiles import PhoneProfile
-from .raster import blank_screen, paste, render_digit_grid, render_security_message
+from .raster import ScreenRaster, blank_screen, paste, render_digit_grid, render_security_message
 from .receiver import Emage, reconstruct
 from .util import derive_seed, dump_json, load_json
 
 # A session whose crops have lower mean dynamic range than this is flagged
 # as a failed acquisition and excluded from training by default.
 QUALITY_MIN_DYNAMIC_RANGE = 0.2
+
+
+@dataclass(frozen=True)
+class HardwareDim:
+    """Attack hardware: the target display, the receiver and the channel."""
+
+    profile: PhoneProfile
+    sample_rate_hz: float
+    bandwidth_hz: float
+    target_snr_db: float | None
+    distance_r: float = 1.0
+    coupling_gain: float = 1.0
+    frames: int = 1
+
+    def __post_init__(self):
+        if self.sample_rate_hz <= 0 or self.bandwidth_hz <= 0:
+            raise ValidationError("hardware dimension: rates must be positive")
+        if self.frames < 1:
+            raise ValidationError("hardware dimension: frames must be >= 1")
+
+
+def simulate(raster: ScreenRaster, hardware: HardwareDim, rng_seed: int) -> Emage:
+    """One screen through emanate -> capture -> reconstruct.
+
+    The screen radiates for hardware.frames frames, the channel noise draws
+    from rng_seed, and the emage lands on the profile's own reconstruction
+    grid at its nominal refresh rate.
+    """
+    profile = hardware.profile
+    leak = emanate(raster, profile.timing(), profile.leakage(coupling_gain=hardware.coupling_gain),
+                   frames=hardware.frames)
+    recording = capture_iq(
+        leak,
+        ChannelModel(
+            distance_r=hardware.distance_r,
+            target_snr_db=hardware.target_snr_db,
+            rng_seed=rng_seed,
+        ),
+        sample_rate_hz=hardware.sample_rate_hz,
+        bandwidth_hz=hardware.bandwidth_hz,
+    )
+    return reconstruct(recording, profile.recon_params())
 
 
 @dataclass(frozen=True)
@@ -125,16 +168,38 @@ def _balanced_digits(total: int, rng: np.random.Generator) -> list[str]:
     return [str(d) for d in plan]
 
 
-def _crop_dynamic_range(pixels: np.ndarray) -> float:
-    return float(pixels.max() - pixels.min())
+def _profile_hardware(profile: PhoneProfile, frames: int, target_snr_db: float | None,
+                      distance_r: float) -> HardwareDim:
+    """The profiling rig: the profile's own receiver rates at unit coupling."""
+    return HardwareDim(
+        profile=profile,
+        sample_rate_hz=profile.sample_rate_hz,
+        bandwidth_hz=profile.bandwidth_hz,
+        target_snr_db=profile.default_snr_db if target_snr_db is None else target_snr_db,
+        distance_r=distance_r,
+        frames=frames,
+    )
 
 
-def _finalize(session: Session, ranges: list[float]) -> Session:
+def _save_session(root, session_id: str, profile: PhoneProfile, kind: str, seed: int,
+                  params: dict, labeled) -> Session:
+    """Save each (crop, label, rect, screen) of ``labeled`` as the next item,
+    then the manifest with the session's quality verdict."""
+    directory = Path(root) / "sessions" / session_id
+    items: list[SessionItem] = []
+    ranges: list[float] = []
+    for crop, label, rect, screen in labeled:
+        rel = f"items/item_{len(items):06d}.pgm"
+        crop.save(directory / rel)
+        items.append(SessionItem(path=rel, label=label, crop=rect, screen=screen))
+        ranges.append(float(crop.pixels.max() - crop.pixels.min()))
     mean_range = float(np.mean(ranges)) if ranges else 0.0
-    session.quality = {
-        "mean_dynamic_range": mean_range,
-        "flagged": bool(mean_range < QUALITY_MIN_DYNAMIC_RANGE),
-    }
+    session = Session(
+        id=session_id, profile=profile.name, kind=kind, seed=seed, directory=directory, items=items,
+        quality={"mean_dynamic_range": mean_range,
+                 "flagged": bool(mean_range < QUALITY_MIN_DYNAMIC_RANGE)},
+        params=params,
+    )
     session.save_manifest()
     return session
 
@@ -168,22 +233,15 @@ def run_session(
     """Simulated multi-crop grid acquisition session.
 
     Each screen renders a fresh seeded digit arrangement (class-balanced
-    across the whole session), goes through emanate/capture/reconstruct at
-    the profile defaults, and is cropped into rows x cols labeled items.
+    across the whole session), goes through ``simulate`` at the profile
+    defaults, and is cropped into rows x cols labeled items.
     """
-    if target_snr_db is None:
-        target_snr_db = profile.default_snr_db
-    frames = 1 if frames is None else frames
+    hardware = _profile_hardware(profile, 1 if frames is None else frames, target_snr_db, distance_r)
     cell_w, cell_h = profile.grid_cell(rows, cols)
     if cell_w < 1 or cell_h < 1:
         raise ValidationError(f"grid {rows}x{cols} too fine for profile {profile.name}")
     crop_w, crop_h = profile.crop_cell(rows, cols)
-    timing = profile.timing()
-    leak_model = profile.leakage(coupling_gain=1.0)
-    recon = profile.recon_params()
 
-    session_id = session_id or f"grid-{seed:d}"
-    directory = Path(root) / "sessions" / session_id
     rng = np.random.default_rng(derive_seed(seed, "digit-plan"))
     plan = _balanced_digits(rows * cols * screens, rng)
 
@@ -191,42 +249,19 @@ def run_session(
         digits = plan[s * rows * cols : (s + 1) * rows * cols]
         grid = render_digit_grid(rows, cols, digits, cols * cell_w, rows * cell_h, contrast)
         screen = paste(blank_screen(profile.visible_w, profile.visible_h), grid, 0, 0)
-        leak = emanate(screen, timing, leak_model, frames=frames)
-        recording = capture_iq(
-            leak,
-            ChannelModel(
-                distance_r=distance_r,
-                target_snr_db=target_snr_db,
-                rng_seed=derive_seed(seed, "screen", s),
-            ),
-            sample_rate_hz=profile.sample_rate_hz,
-            bandwidth_hz=profile.bandwidth_hz,
-        )
-        return reconstruct(recording, recon), digits
+        return simulate(screen, hardware, derive_seed(seed, "screen", s)), digits
 
-    items: list[SessionItem] = []
-    ranges: list[float] = []
-    for s, (emage, digits) in enumerate(_map_indexed(one_screen, screens, workers)):
-        for idx, crop in enumerate(grid_crop(emage, rows, cols, crop_w, crop_h)):
-            n = len(items)
-            rel = f"items/item_{n:06d}.pgm"
-            crop.save(directory / rel)
-            r, c = divmod(idx, cols)
-            items.append(SessionItem(
-                path=rel,
-                label=digits[idx],
-                crop=(c * crop_w, r * crop_h, crop_w, crop_h),
-                screen=s,
-            ))
-            ranges.append(_crop_dynamic_range(crop.pixels))
-
-    session = Session(
-        id=session_id, profile=profile.name, kind="grid", seed=seed,
-        directory=directory, items=items, quality={},
-        params={"rows": rows, "cols": cols, "screens": screens, "frames": frames,
-                "target_snr_db": target_snr_db, "distance_r": distance_r},
+    labeled = (
+        (crop, digits[idx], (idx % cols * crop_w, idx // cols * crop_h, crop_w, crop_h), s)
+        for s, (emage, digits) in enumerate(_map_indexed(one_screen, screens, workers))
+        for idx, crop in enumerate(grid_crop(emage, rows, cols, crop_w, crop_h))
     )
-    return _finalize(session, ranges)
+    return _save_session(
+        root, session_id or f"grid-{seed:d}", profile, "grid", seed,
+        {"rows": rows, "cols": cols, "screens": screens, "frames": hardware.frames,
+         "target_snr_db": hardware.target_snr_db, "distance_r": distance_r},
+        labeled,
+    )
 
 
 def run_code_session(
@@ -247,17 +282,10 @@ def run_code_session(
     and averaged at reconstruction, and the code region is saved as one
     labeled item (six digits wide, e.g. 126 x 31 on the default profile).
     """
-    if target_snr_db is None:
-        target_snr_db = profile.default_snr_db
-    frames = 2 if frames is None else frames
+    hardware = _profile_hardware(profile, 2 if frames is None else frames, target_snr_db, distance_r)
     digit_w = profile.grid_content_w // 40
     digit_h = profile.grid_content_h // 40
-    timing = profile.timing()
-    leak_model = profile.leakage(coupling_gain=1.0)
-    recon = profile.recon_params()
 
-    session_id = session_id or f"code-{seed:d}"
-    directory = Path(root) / "sessions" / session_id
     rng = np.random.default_rng(derive_seed(seed, "codes"))
     codes = ["".join(str(d) for d in rng.integers(0, 10, 6)) for _ in range(n_codes)]
 
@@ -266,38 +294,17 @@ def run_code_session(
             codes[i], profile.visible_w, profile.visible_h,
             digit_w=digit_w, digit_h=digit_h, x_align=profile.x_align, contrast=contrast,
         )
-        leak = emanate(screen, timing, leak_model, frames=frames)
-        recording = capture_iq(
-            leak,
-            ChannelModel(
-                distance_r=distance_r,
-                target_snr_db=target_snr_db,
-                rng_seed=derive_seed(seed, "code", i),
-            ),
-            sample_rate_hz=profile.sample_rate_hz,
-            bandwidth_hz=profile.bandwidth_hz,
-        )
-        emage = reconstruct(recording, recon)
+        emage = simulate(screen, hardware, derive_seed(seed, "code", i))
         region = screen.annotations[0]
-        ex = round(region.x * profile.x_scale)
-        ew = round(region.w * profile.x_scale)
-        return emage.crop(ex, region.y, ew, region.h), (ex, region.y, ew, region.h)
+        rect = (round(region.x * profile.x_scale), region.y, round(region.w * profile.x_scale), region.h)
+        return emage.crop(*rect), codes[i], rect, i
 
-    items: list[SessionItem] = []
-    ranges: list[float] = []
-    for i, (crop, rect) in enumerate(_map_indexed(one_code, n_codes, workers)):
-        rel = f"items/item_{i:06d}.pgm"
-        crop.save(directory / rel)
-        items.append(SessionItem(path=rel, label=codes[i], crop=rect, screen=i))
-        ranges.append(_crop_dynamic_range(crop.pixels))
-
-    session = Session(
-        id=session_id, profile=profile.name, kind="code", seed=seed,
-        directory=directory, items=items, quality={},
-        params={"n_codes": n_codes, "frames": frames,
-                "target_snr_db": target_snr_db, "distance_r": distance_r},
+    return _save_session(
+        root, session_id or f"code-{seed:d}", profile, "code", seed,
+        {"n_codes": n_codes, "frames": hardware.frames,
+         "target_snr_db": hardware.target_snr_db, "distance_r": distance_r},
+        _map_indexed(one_code, n_codes, workers),
     )
-    return _finalize(session, ranges)
 
 
 @dataclass(frozen=True)
@@ -417,25 +424,16 @@ def load_items(root, paths: list[str], label_of=None) -> tuple[np.ndarray, np.nd
         label_of = int
     images = []
     raw = []
+    tables: dict[str, dict[str, str]] = {}  # session id -> item path -> label, read once per call
     for rel in paths:
         parts = Path(rel).parts  # sessions/<id>/items/<file>
         if len(parts) < 4 or parts[0] != "sessions":
             raise ValidationError(f"item path {rel!r} is not dataset-relative")
         em = Emage.load(root / rel)
         images.append(em.pixels)
-        raw.append(_label_from_manifest(root / parts[0] / parts[1], "/".join(parts[2:])))
+        if parts[1] not in tables:
+            m = load_json(root / parts[0] / parts[1] / "manifest.json")
+            tables[parts[1]] = {d["path"]: d["label"] for d in m["items"]}
+        raw.append(tables[parts[1]]["/".join(parts[2:])])
     labels = [label_of(lab) for lab in raw]
     return np.stack(images), np.asarray(labels, dtype=np.int64), raw
-
-
-_MANIFEST_CACHE: dict[Path, dict[str, str]] = {}
-
-
-def _label_from_manifest(session_dir: Path, rel_item: str) -> str:
-    session_dir = Path(session_dir)
-    table = _MANIFEST_CACHE.get(session_dir)
-    if table is None:
-        m = load_json(session_dir / "manifest.json")
-        table = {d["path"]: d["label"] for d in m["items"]}
-        _MANIFEST_CACHE[session_dir] = table
-    return table[rel_item]

@@ -3,7 +3,7 @@
 An attacker model has five dimensions (message, message appearance, attack
 hardware, device profiling, computational resources), all mandatory.  A
 testbed run generates letter/scale stimuli for every profiling session,
-pushes each through render -> emanate -> capture -> reconstruct, trains
+renders each and passes it through ``dataset.simulate``, trains
 the letter classifier over a growing session schedule, and reports
 accuracy per scale plus a per-letter confusion matrix on the held-out
 test sessions.
@@ -16,19 +16,17 @@ from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from .classifier import CnnSpec, TrainConfig, init_model, train
-from .emanator import ChannelModel, emanate
-from .emanator import capture as capture_iq
+from .dataset import HardwareDim, simulate
+from .emanator import DisplayTiming
 from .errors import StageError, ValidationError
 from .pgmio import write_pgm
 from .profiles import PhoneProfile, get_profile
 from .raster import CHART_LETTERS, CHART_SCALES, render_eyechart
-from .receiver import reconstruct
 from .util import derive_seed, dump_json
 
 #: classifier input for testbed letters (emages are block-averaged down)
@@ -69,23 +67,6 @@ class AppearanceDim:
             raise ValidationError("appearance dimension: contrast must be in (0, 1]")
         if self.background not in ("white", "plain"):
             raise ValidationError("appearance dimension: only a plain white background is supported")
-
-
-@dataclass(frozen=True)
-class HardwareDim:
-    profile: PhoneProfile
-    sample_rate_hz: float
-    bandwidth_hz: float
-    target_snr_db: float | None
-    distance_r: float = 1.0
-    coupling_gain: float = 1.0
-    frames: int = 1
-
-    def __post_init__(self):
-        if self.sample_rate_hz <= 0 or self.bandwidth_hz <= 0:
-            raise ValidationError("hardware dimension: rates must be positive")
-        if self.frames < 1:
-            raise ValidationError("hardware dimension: frames must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -135,33 +116,20 @@ class AttackerModelSpec:
     resources: ResourcesDim
 
 
-def make_panel_profile(
-    visible_w: int,
-    visible_h: int,
-    f_r: float = 60.0,
-    x_t: int | None = None,
-    y_t: int | None = None,
-    name: str = "custom",
-) -> PhoneProfile:
+def make_panel_profile(visible_w: int, visible_h: int, f_r: float = 60.0) -> PhoneProfile:
     """A custom display panel for testbed hardware dimensions.
 
-    The reconstruction grid is the timing grid itself (unit pixel ratio).
+    Blanking follows DisplayTiming.for_visible; the reconstruction grid is
+    the timing grid itself (unit pixel ratio).
     """
-    import math
-
-    x_t = x_t or math.ceil(1.1 * visible_w)
-    y_t = y_t or math.ceil(1.06 * visible_h)
+    timing = DisplayTiming.for_visible(visible_w, visible_h, f_r)
     return PhoneProfile(
-        name=name,
-        visible_w=visible_w, visible_h=visible_h, x_t=x_t, y_t=y_t, f_r=f_r,
+        name="custom",
+        visible_w=visible_w, visible_h=visible_h, x_t=timing.x_t, y_t=timing.y_t, f_r=f_r,
         default_snr_db=25.0, measured_center_hz=0.0,
-        crop_h=None, crop_w=None, recon_w=x_t,
+        crop_h=None, crop_w=None, recon_w=timing.x_t,
         grid_content_w=(visible_w // 40) * 40, grid_content_h=(visible_h // 40) * 40,
     )
-
-
-def _parse_scalar(text: str):
-    return float(text)
 
 
 def parse_spec_file(path) -> AttackerModelSpec:
@@ -209,8 +177,8 @@ def parse_spec_file(path) -> AttackerModelSpec:
     snr_text = hw.get("target_snr_db", "").strip().lower()
     hardware = HardwareDim(
         profile=profile,
-        sample_rate_hz=_parse_scalar(hw.get("sample_rate_hz", str(profile.sample_rate_hz))),
-        bandwidth_hz=_parse_scalar(hw.get("bandwidth_hz", str(profile.bandwidth_hz))),
+        sample_rate_hz=float(hw.get("sample_rate_hz", str(profile.sample_rate_hz))),
+        bandwidth_hz=float(hw.get("bandwidth_hz", str(profile.bandwidth_hz))),
         target_snr_db=None if snr_text in ("", "none", "off") else float(snr_text),
         distance_r=float(hw.get("distance_r", "1.0")),
         coupling_gain=float(hw.get("coupling_gain", "1.0")),
@@ -253,7 +221,7 @@ def generate_stimuli(spec: AttackerModelSpec, repetitions: int = 1) -> list[Stim
 
 def _emage_to_input(pixels: np.ndarray, profile: PhoneProfile) -> np.ndarray:
     """Center square of the visible area, block-averaged to INPUT_SIDE."""
-    vis_w = int(profile.visible_w * Fraction(profile.recon_w, profile.x_t))
+    vis_w = int(profile.visible_w * profile.x_scale)
     vis_h = profile.visible_h
     side = (min(vis_w, vis_h) // INPUT_SIDE) * INPUT_SIDE
     if side < INPUT_SIDE:
@@ -305,11 +273,7 @@ def _collect_session(
     repetitions: int,
     session_seed: int,
 ) -> tuple[np.ndarray, np.ndarray, list[Stimulus]]:
-    hw = spec.hardware
-    profile = hw.profile
-    timing = profile.timing()
-    leak_model = profile.leakage(coupling_gain=hw.coupling_gain)
-    recon = profile.recon_params()
+    profile = spec.hardware.profile
     stimuli = generate_stimuli(spec, repetitions)
     letters = spec.message.letters
 
@@ -321,18 +285,7 @@ def _collect_session(
                 st.letter, st.scale, profile.visible_w, profile.visible_h,
                 contrast=spec.appearance.contrast,
             )
-            leak = emanate(raster, timing, leak_model, frames=hw.frames)
-            rec = capture_iq(
-                leak,
-                ChannelModel(
-                    distance_r=hw.distance_r,
-                    target_snr_db=hw.target_snr_db,
-                    rng_seed=derive_seed(session_seed, "item", i),
-                ),
-                sample_rate_hz=hw.sample_rate_hz,
-                bandwidth_hz=hw.bandwidth_hz,
-            )
-            emage = reconstruct(rec, recon)
+            emage = simulate(raster, spec.hardware, derive_seed(session_seed, "item", i))
             images[i] = _emage_to_input(emage.pixels, profile)
             labels[i] = letters.index(st.letter)
         except ValidationError as exc:
@@ -365,7 +318,6 @@ def run_testbed(spec: AttackerModelSpec, seed: int = 0) -> TestbedReport:
     test_stimuli = [st for s in test_sessions for st in s[2]]
 
     stages = []
-    final_model = None
     for stage_idx, n_sessions in enumerate(spec.profiling.stages()):
         x_pool = np.concatenate([train_sessions[j][0] for j in range(n_sessions)])
         y_pool = np.concatenate([train_sessions[j][1] for j in range(n_sessions)])
@@ -401,7 +353,6 @@ def run_testbed(spec: AttackerModelSpec, seed: int = 0) -> TestbedReport:
             "val_accuracy": result.best_val_accuracy,
             "test_accuracy": stage_acc,
         })
-        final_model = result.model
         final_preds = preds
 
     per_scale = {}

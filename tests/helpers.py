@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from emgleam.dataset import HardwareDim
 from emgleam.emanator import DisplayTiming, LeakageModel
 
 # Small panel whose pixel clock (~865 kHz) fits entirely inside the default
@@ -23,6 +24,11 @@ def ncc(a: np.ndarray, b: np.ndarray) -> float:
     b = b - b.mean()
     denom = np.sqrt((a @ a) * (b @ b))
     return float(a @ b / denom) if denom > 0 else 0.0
+
+
+def phone_hardware(profile, snr_db, frames=1) -> HardwareDim:
+    """A phone profile captured at its own receiver rates, as sessions do."""
+    return HardwareDim(profile, profile.sample_rate_hz, profile.bandwidth_hz, snr_db, frames=frames)
 
 
 def random_grid_raster(seed: int, rows: int = 3, cols: int = 4):

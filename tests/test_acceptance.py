@@ -12,7 +12,7 @@ import pytest
 
 from emgleam.attack import CodeResult, read_code, score, sliding_map
 from emgleam.classifier import CnnSpec, TrainConfig, grad_check, init_model, save_model, train
-from emgleam.dataset import load_items, run_session
+from emgleam.dataset import load_items, run_session, simulate
 from emgleam.emanator import ChannelModel, IqRecording, capture, edge_reference, emanate
 from emgleam.raster import LabeledRegion, ScreenRaster, blank_screen, render_symbols
 from emgleam.receiver import ReconParams, am_demod, estimate_frame_rate, measure_snr, reconstruct
@@ -29,7 +29,7 @@ from emgleam.testbed import (
 )
 from emgleam.util import derive_seed
 
-from helpers import LAB_BW, LAB_FS, LAB_LEAK, LAB_TIMING, ncc, random_grid_raster
+from helpers import LAB_BW, LAB_FS, LAB_LEAK, LAB_TIMING, ncc, phone_hardware, random_grid_raster
 
 
 def announce(num, text):
@@ -256,9 +256,7 @@ def test_criterion_11_sliding_window_localization(digit_rig):
     """Activation-map argmax falls inside the true code row in >= 95/100 placements."""
     profile = digit_rig.profile
     model = digit_rig.results["training4"].model
-    timing = profile.timing()
-    leak_model = profile.leakage()
-    recon = profile.recon_params()
+    hardware = phone_hardware(profile, 25.0)
     rng = np.random.default_rng(77)
     hits = 0
     trials = 100
@@ -272,12 +270,7 @@ def test_criterion_11_sliding_window_localization(digit_rig):
         lum[y0 : y0 + 31, x0 : x0 + 108] = render_symbols(code, 108, 31)
         raster = ScreenRaster(profile.visible_w, profile.visible_h, lum,
                               [LabeledRegion(x0, y0, 108, 31, code)])
-        leak = emanate(raster, timing, leak_model, frames=1)
-        recording = capture(
-            leak, ChannelModel(target_snr_db=25.0, rng_seed=derive_seed(5000, "place", t)),
-            sample_rate_hz=profile.sample_rate_hz, bandwidth_hz=profile.bandwidth_hz,
-        )
-        emage = reconstruct(recording, recon)
+        emage = simulate(raster, hardware, derive_seed(5000, "place", t))
         amap = sliding_map(emage, model)
         _, wy, _, wh = amap.argmax_window()
         hits += (wy < y0 + 31) and (wy + wh > y0)

@@ -12,9 +12,11 @@ from emgleam.attack import (
     split_code_region,
 )
 from emgleam.classifier import CnnSpec, init_model
-from emgleam.dataset import load_items
+from emgleam.dataset import load_items, simulate
 from emgleam.errors import ValidationError
 from emgleam.receiver import Emage
+
+from helpers import phone_hardware
 
 
 def uniform_emage(w, h, value=0.5):
@@ -161,18 +163,12 @@ class TestReadCodeWithTrainedModel:
         assert report.per_digit_accuracy >= 0.85
 
     def test_repeated_digit_code_gives_six_identical_predictions(self, digit_rig):
-        from emgleam.emanator import ChannelModel, emanate
-        from emgleam.emanator import capture as capture_iq
         from emgleam.raster import render_security_message
-        from emgleam.receiver import reconstruct
 
         profile = digit_rig.profile
         screen = render_security_message("000000", profile.visible_w, profile.visible_h,
                                          digit_w=18, digit_h=31, x_align=profile.x_align)
-        leak = emanate(screen, profile.timing(), profile.leakage(), frames=1)
-        rec = capture_iq(leak, ChannelModel(), sample_rate_hz=profile.sample_rate_hz,
-                         bandwidth_hz=profile.bandwidth_hz)
-        emage = reconstruct(rec, profile.recon_params())
+        emage = simulate(screen, phone_hardware(profile, None), rng_seed=0)
         region = screen.annotations[0]
         ex = round(region.x * profile.x_scale)
         ew = round(region.w * profile.x_scale)
@@ -208,21 +204,16 @@ class TestReadCodeWithTrainedModel:
         # activation argmax by exactly one map cell; the canvas is cut from
         # a blank screen reconstructed like the code session's screens,
         # which is what surrounds a code in a real emage
-        from emgleam.emanator import ChannelModel, emanate
-        from emgleam.emanator import capture as capture_iq
         from emgleam.raster import blank_screen
-        from emgleam.receiver import reconstruct
 
         model = digit_rig.results["training4"].model
         session = digit_rig.code_sessions[0]
         crop = Emage.load(session.item_path(session.items[0])).pixels
         profile = digit_rig.profile
-        leak = emanate(blank_screen(profile.visible_w, profile.visible_h), profile.timing(),
-                       profile.leakage(), frames=session.params["frames"])
-        rec = capture_iq(leak, ChannelModel(target_snr_db=session.params["target_snr_db"],
-                                            rng_seed=5),
-                         sample_rate_hz=profile.sample_rate_hz, bandwidth_hz=profile.bandwidth_hz)
-        blank = reconstruct(rec, profile.recon_params()).pixels
+        hardware = phone_hardware(profile, session.params["target_snr_db"],
+                                  frames=session.params["frames"])
+        blank = simulate(blank_screen(profile.visible_w, profile.visible_h), hardware,
+                         rng_seed=5).pixels
         argmaxes = []
         for shift in (0, 1):
             # well inside the visible area, clear of the line-start and

@@ -163,6 +163,11 @@ class TestDatasetCommands:
                     "--id", "e0", "--seed", 0, "--snr", "none"]) == 0
         assert (tmp_path / "envroot" / "sessions" / "e0" / "manifest.json").exists()
 
+    def test_zero_frames_is_validation_error(self, tmp_path, capsys):
+        assert run(["session", "--profile", "galaxy_a3", "--rows", 4, "--cols", 4,
+                    "--screens", 1, "--frames", 0, "-o", tmp_path]) == 2
+        assert "frames must be >= 1" in capsys.readouterr().err
+
     def test_missing_data_dir_is_validation_error(self, monkeypatch):
         monkeypatch.delenv("EMGLEAM_DATA_DIR", raising=False)
         assert run(["split", "--schedule", "1", "--test-sessions", "1"]) == 2

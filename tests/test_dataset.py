@@ -148,6 +148,18 @@ class TestDeterminism:
         assert tree_hash(a) == tree_hash(b)
 
 
+@pytest.mark.parametrize("frames", [0, -1])
+@pytest.mark.parametrize("kind", ["grid", "code"])
+def test_bad_frame_count_is_validation_error(tmp_path, kind, frames):
+    profile = get_profile("galaxy_a3")
+    with pytest.raises(ValidationError, match="frames"):
+        if kind == "grid":
+            run_session(profile, tmp_path, rows=4, cols=4, screens=1, frames=frames)
+        else:
+            run_code_session(profile, tmp_path, n_codes=1, frames=frames)
+    assert not (tmp_path / "sessions").exists()
+
+
 class TestCodeSession:
     def test_default_parameters_match_protocol(self):
         import inspect
@@ -265,6 +277,18 @@ class TestTrainingSets:
         assert x.shape == (5, 31, 21)
         assert list(y) == [0, 1, 2, 3, 4]
         assert raw == ["0", "1", "2", "3", "4"]
+
+    def test_load_items_follows_a_rewritten_session(self, tmp_path):
+        # a session re-run into the same root and id with another seed
+        # rewrites items and manifest; labels must come from the new one
+        profile = get_profile("galaxy_a3")
+        first = run_session(profile, tmp_path, session_id="s", rows=4, cols=4, screens=1, seed=1)
+        paths = [f"sessions/s/{it.path}" for it in first.items]
+        load_items(tmp_path, paths)
+        second = run_session(profile, tmp_path, session_id="s", rows=4, cols=4, screens=1, seed=2)
+        assert [it.label for it in second.items] != [it.label for it in first.items]
+        _, _, raw = load_items(tmp_path, paths)
+        assert raw == [it.label for it in load_session(tmp_path / "sessions" / "s").items]
 
 
 class TestSplitPlan:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from emgleam.dataset import simulate
 from emgleam.emanator import ChannelModel, IqRecording, capture, edge_reference, emanate
 from emgleam.errors import NoSyncError, ValidationError
 from emgleam.receiver import (
@@ -15,7 +16,9 @@ from emgleam.profiles import get_profile
 from emgleam.raster import ScreenRaster, blank_screen, paste, render_digit_grid
 from emgleam.util import derive_seed
 
-from helpers import LAB_BW, LAB_FS, LAB_LEAK, LAB_TIMING, LAB_H, LAB_W, ncc, random_grid_raster
+from helpers import (
+    LAB_BW, LAB_FS, LAB_LEAK, LAB_TIMING, LAB_H, LAB_W, ncc, phone_hardware, random_grid_raster,
+)
 
 
 def lab_capture(raster, frames=1, snr_db=None, seed=0, fs=LAB_FS):
@@ -176,11 +179,7 @@ def phone_grid_emage(profile, seed, snr_db):
     cell_w, cell_h = profile.grid_cell(40, 40)
     grid = render_digit_grid(40, 40, [str(d) for d in plan], 40 * cell_w, 40 * cell_h)
     screen = paste(blank_screen(profile.visible_w, profile.visible_h), grid, 0, 0)
-    leak = emanate(screen, profile.timing(), profile.leakage())
-    channel = ChannelModel(target_snr_db=snr_db, rng_seed=derive_seed(seed, "screen", 0))
-    rec = capture(leak, channel, sample_rate_hz=profile.sample_rate_hz,
-                  bandwidth_hz=profile.bandwidth_hz)
-    return reconstruct(rec, profile.recon_params()).pixels
+    return simulate(screen, phone_hardware(profile, snr_db), derive_seed(seed, "screen", 0)).pixels
 
 
 class TestFrameAlignmentOnPhones:
