@@ -40,15 +40,17 @@ def _fit_to_input(crop: np.ndarray, hw: tuple[int, int]) -> np.ndarray:
     return out
 
 
+def _digit_columns(width: int) -> list[tuple[int, int]]:
+    """(start, width) of six equal-width crops, remainder columns in the last."""
+    base = width // 6
+    if base < 1:
+        raise ValidationError(f"region width {width} cannot hold six digits")
+    return [(i * base, base) for i in range(5)] + [(5 * base, width - 5 * base)]
+
+
 def split_code_region(pixels: np.ndarray) -> list[np.ndarray]:
     """Six equal-width crops, remainder columns appended to the last one."""
-    h, w = pixels.shape
-    base = w // 6
-    if base < 1:
-        raise ValidationError(f"region width {w} cannot hold six digits")
-    crops = [pixels[:, i * base : (i + 1) * base] for i in range(5)]
-    crops.append(pixels[:, 5 * base :])
-    return crops
+    return [pixels[:, x : x + w] for x, w in _digit_columns(pixels.shape[1])]
 
 
 def read_code(
@@ -186,6 +188,11 @@ def sliding_map(
     classifier input), strides to one digit width horizontally and one
     digit height vertically.  Score = 1 - mean(softmax entropy of the six
     sub-crops) / ln(n_classes); confident digit-like content scores high.
+
+    Windows of one row share sub-crops: with the default geometry sub-crop
+    i of window column c is sub-crop 0 of column c + i.  Each distinct
+    (row, start column, width) cell is therefore classified once and the
+    six entropies of every window are gathered from those.
     """
     in_h, in_w = model.spec.input_hw
     if window is None:
@@ -201,18 +208,19 @@ def sliding_map(
     n_cols = (emage.width_px - win_w) // sx + 1
     n_rows = (emage.height_px - win_h) // sy + 1
 
-    crops = []
-    for r in range(n_rows):
-        for c in range(n_cols):
-            sub = emage.pixels[r * sy : r * sy + win_h, c * sx : c * sx + win_w]
-            for piece in split_code_region(sub):
-                crops.append(_fit_to_input(piece, (in_h, in_w)))
-    batch = np.stack(crops)
+    pieces = [(c * sx + x, w) for c in range(n_cols) for x, w in _digit_columns(win_w)]
+    cells, which = np.unique(np.array(pieces), axis=0, return_inverse=True)
+    batch = np.stack([
+        _fit_to_input(emage.pixels[r * sy : r * sy + win_h, x : x + w], (in_h, in_w))
+        for r in range(n_rows)
+        for x, w in cells
+    ])
     entropy = np.empty(len(batch))
     for i in range(0, len(batch), 1024):  # bound the conv workspace
         probs = model.softmax(batch[i : i + 1024])
         ent = -np.sum(probs * np.log(np.clip(probs, 1e-12, 1.0)), axis=1)
         entropy[i : i + 1024] = ent
     entropy /= np.log(model.spec.n_classes)
-    scores = 1.0 - entropy.reshape(n_rows, n_cols, 6).mean(axis=2)
+    per_window = entropy.reshape(n_rows, len(cells))[:, which.reshape(n_cols, 6)]
+    scores = 1.0 - per_window.mean(axis=2)
     return ActivationMap(scores=scores, window=window, strides=strides)

@@ -64,6 +64,18 @@ def _parse_wh(text: str) -> tuple[int, int]:
         raise ValidationError(f"expected WxH, got {text!r}") from None
 
 
+def _parse_snr(text: str, words: tuple[str, ...]) -> float | None:
+    """--snr in dB, or None for one of the command's keywords."""
+    if text.lower() in words:
+        return None
+    try:
+        return float(text)
+    except ValueError:
+        raise ValidationError(
+            f"--snr expects a number in dB or {' / '.join(words)}, got {text!r}"
+        ) from None
+
+
 # ----------------------------------------------------------------- render
 
 def _cmd_render(args) -> int:
@@ -105,7 +117,7 @@ def _cmd_emanate(args) -> int:
     raster = ScreenRaster.load(args.raster)
     timing = profile.timing()
     leak_model = profile.leakage(coupling_gain=args.coupling, highpass_alpha=args.alpha)
-    snr = None if args.snr.lower() in ("none", "off") else float(args.snr)
+    snr = _parse_snr(args.snr, ("none", "off"))
     channel = ChannelModel(
         distance_r=args.distance,
         target_snr_db=snr,
@@ -178,7 +190,9 @@ def _cmd_session(args) -> int:
 
     root = _data_dir(args.output)
     profile = get_profile(args.profile)
-    snr = None if args.snr.lower() in ("none", "off", "default") else float(args.snr)
+    if args.snr.lower() in ("none", "off"):
+        raise ValidationError("sessions have no noiseless capture: give --snr in dB or 'default'")
+    snr = _parse_snr(args.snr, ("default",))  # None: the profile's SNR
     if args.kind == "grid":
         session = run_session(
             profile, root, session_id=args.id,
@@ -412,7 +426,7 @@ def build_parser() -> _Parser:
     p.add_argument("--screens", type=int, default=20)
     p.add_argument("--codes", type=int, default=200)
     p.add_argument("--frames", type=int, default=None)
-    p.add_argument("--snr", default="default", help="target SNR dB, 'none', or 'default'")
+    p.add_argument("--snr", default="default", help="target SNR dB, or 'default' (the profile's)")
     p.add_argument("--distance", type=float, default=1.0)
     p.add_argument("--id", help="session id (default derived from kind+seed)")
     p.add_argument("-o", "--output", help="dataset root (default $EMGLEAM_DATA_DIR)")

@@ -27,6 +27,7 @@ import numpy as np
 from .emanator import ChannelModel, emanate
 from .emanator import capture as capture_iq
 from .errors import ValidationError
+from .pgmio import read_pgm
 from .profiles import PhoneProfile
 from .raster import ScreenRaster, blank_screen, paste, render_digit_grid, render_security_message
 from .receiver import Emage, reconstruct
@@ -429,8 +430,7 @@ def load_items(root, paths: list[str], label_of=None) -> tuple[np.ndarray, np.nd
         parts = Path(rel).parts  # sessions/<id>/items/<file>
         if len(parts) < 4 or parts[0] != "sessions":
             raise ValidationError(f"item path {rel!r} is not dataset-relative")
-        em = Emage.load(root / rel)
-        images.append(em.pixels)
+        images.append(read_pgm(root / rel))
         if parts[1] not in tables:
             m = load_json(root / parts[0] / parts[1] / "manifest.json")
             tables[parts[1]] = {d["path"]: d["label"] for d in m["items"]}

@@ -17,6 +17,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
 
 from ._spectrum import band_slice, peak_over_median_db, welch_psd
 from .emanator import IqRecording
@@ -134,8 +135,8 @@ def estimate_frame_rate(
 
     Searches integer lags within +/- search_ppm of sample_rate / hint and
     refines the winner by parabolic interpolation of the normalized
-    autocorrelation.  Raises NoSyncError when no lag correlates above the
-    noise floor.
+    autocorrelation, computed for all those lags with one FFT.  Raises
+    NoSyncError when no lag correlates above the noise floor.
     """
     mag = np.asarray(magnitude, dtype=np.float64)
     lag0 = sample_rate_hz / f_r_hint
@@ -149,14 +150,21 @@ def estimate_frame_rate(
     if hi - lo < 2:
         raise ValidationError("search window too narrow for peak refinement")
 
+    if not np.ptp(mag) > 0:  # a flat envelope has no frame periodicity at all
+        raise NoSyncError(f"no frame periodicity near {f_r_hint} Hz (flat envelope)")
+    # corr(lag) = a.b / sqrt(a.a * b.b) with a = x[:n - lag], b = x[lag:]:
+    # every a.b from one autocorrelation, zero-padded past n + hi so no lag
+    # wraps, and both energies from one running sum of x^2
     x = mag - mag.mean()
+    n = len(x)
+    nfft = next_fast_len(n + hi + 1, real=True)
+    spec = rfft(x, nfft)
     lags = np.arange(lo, hi + 1)
-    corr = np.empty(len(lags))
-    for i, lag in enumerate(lags):
-        a = x[: len(x) - lag]
-        b = x[lag:]
-        denom = np.sqrt(float(a @ a) * float(b @ b))
-        corr[i] = float(a @ b) / denom if denom > 0 else 0.0
+    dot = irfft(spec.real**2 + spec.imag**2, nfft)[lags]
+    energy = np.concatenate([[0.0], np.cumsum(x * x)])
+    denom = np.sqrt(np.maximum(energy[n - lags] * (energy[n] - energy[lags]), 0.0))
+    corr = np.zeros(len(lags))
+    np.divide(dot, denom, out=corr, where=denom > 0)
 
     best = int(np.argmax(corr))
     if corr[best] < _SYNC_THRESHOLD:

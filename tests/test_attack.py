@@ -6,6 +6,7 @@ import pytest
 from emgleam.attack import (
     ActivationMap,
     CodeResult,
+    _fit_to_input,
     read_code,
     score,
     sliding_map,
@@ -21,6 +22,27 @@ from helpers import phone_hardware
 
 def uniform_emage(w, h, value=0.5):
     return Emage(w, h, np.full((h, w), value, dtype=np.float32), 1, {})
+
+
+def random_emage(w, h, seed=0):
+    rng = np.random.default_rng(seed)
+    return Emage(w, h, rng.random((h, w), dtype=np.float32), 1, {})
+
+
+def per_window_scores(emage, model, window, strides):
+    """Reference map: every window cut, split and classified on its own."""
+    in_h, in_w = model.spec.input_hw
+    (win_w, win_h), (sx, sy) = window, strides
+    rows = []
+    for y in range(0, emage.height_px - win_h + 1, sy):
+        row = []
+        for x in range(0, emage.width_px - win_w + 1, sx):
+            pieces = split_code_region(emage.pixels[y : y + win_h, x : x + win_w])
+            probs = model.softmax(np.stack([_fit_to_input(c, (in_h, in_w)) for c in pieces]))
+            ent = -np.sum(probs * np.log(np.clip(probs, 1e-12, 1.0)), axis=1)
+            row.append(1.0 - ent.mean() / np.log(model.spec.n_classes))
+        rows.append(row)
+    return np.array(rows)
 
 
 class TestSplitCodeRegion:
@@ -134,6 +156,34 @@ class TestSlidingMapGeometry:
         model = init_model(CnnSpec((31, 21), 10), seed=0)
         with pytest.raises(ValidationError, match="larger than emage"):
             sliding_map(uniform_emage(100, 20), model)
+
+    @pytest.mark.parametrize("window, strides", [(None, None), ((130, 31), (7, 11))])
+    def test_matches_per_window_reference(self, window, strides):
+        # (130, 31) at strides (7, 11): the last sub-crop is 25 columns wide
+        # and is center-cropped to the input, and cells overlap unevenly
+        model = init_model(CnnSpec((31, 21), 10), seed=0)
+        emage = random_emage(300, 200, seed=1)
+        amap = sliding_map(emage, model, window=window, strides=strides)
+        ref = per_window_scores(emage, model, amap.window, amap.strides)
+        assert amap.scores.shape == ref.shape
+        assert float(np.abs(amap.scores - ref).max()) <= 1e-6
+        assert int(np.argmax(amap.scores)) == int(np.argmax(ref))
+
+    def test_each_cell_classified_once(self, monkeypatch):
+        # default geometry: a window row of n_cols windows covers n_cols + 5
+        # distinct digit cells
+        model = init_model(CnnSpec((31, 21), 10), seed=0)
+        asked = []
+        softmax = model.softmax
+
+        def counting_softmax(x):
+            asked.append(len(x))
+            return softmax(x)
+
+        monkeypatch.setattr(model, "softmax", counting_softmax)
+        amap = sliding_map(random_emage(300, 200), model)
+        n_rows, n_cols = amap.scores.shape
+        assert sum(asked) == n_rows * (n_cols + 5)
 
     def test_activation_map_serialization(self, tmp_path):
         amap = ActivationMap(np.array([[0.1, 0.9], [0.4, 0.2]]), (126, 31), (21, 31))

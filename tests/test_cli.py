@@ -20,6 +20,13 @@ class TestBasics:
     def test_validation_error_exits_2(self, tmp_path):
         assert run(["render", "--message", "123", "-o", tmp_path / "x.pgm"]) == 2
 
+    def test_non_numeric_emanate_snr_is_validation_error(self, tmp_path, capsys):
+        assert run(["render", "--message", "123456", "-o", tmp_path / "m.pgm"]) == 0
+        assert run(["emanate", tmp_path / "m.pgm", "--profile", "galaxy_a3", "--snr", "abc",
+                    "-o", tmp_path / "m.iq"]) == 2
+        assert "error: --snr expects a number" in capsys.readouterr().err
+        assert not (tmp_path / "m.iq").exists()
+
     def test_unknown_profile_lists_alternatives(self, tmp_path, capsys):
         rc = run(["render", "--message", "123456", "-o", tmp_path / "m.pgm"])
         assert rc == 0
@@ -160,13 +167,24 @@ class TestDatasetCommands:
         monkeypatch.setenv("EMGLEAM_DATA_DIR", str(tmp_path / "envroot"))
         assert run(["session", "--profile", "galaxy_a3", "--kind", "grid",
                     "--rows", 4, "--cols", 4, "--screens", 1,
-                    "--id", "e0", "--seed", 0, "--snr", "none"]) == 0
+                    "--id", "e0", "--seed", 0, "--snr", "default"]) == 0
         assert (tmp_path / "envroot" / "sessions" / "e0" / "manifest.json").exists()
 
     def test_zero_frames_is_validation_error(self, tmp_path, capsys):
         assert run(["session", "--profile", "galaxy_a3", "--rows", 4, "--cols", 4,
                     "--screens", 1, "--frames", 0, "-o", tmp_path]) == 2
         assert "frames must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("word", ["none", "off"])
+    def test_noiseless_session_is_validation_error(self, tmp_path, capsys, word):
+        assert run(["session", "--profile", "galaxy_a3", "--rows", 4, "--cols", 4,
+                    "--screens", 1, "--snr", word, "-o", tmp_path]) == 2
+        assert "no noiseless capture" in capsys.readouterr().err
+        assert not (tmp_path / "sessions").exists()
+
+    def test_non_numeric_session_snr_is_validation_error(self, tmp_path, capsys):
+        assert run(["session", "--profile", "galaxy_a3", "--snr", "abc", "-o", tmp_path]) == 2
+        assert "error: --snr expects a number" in capsys.readouterr().err
 
     def test_missing_data_dir_is_validation_error(self, monkeypatch):
         monkeypatch.delenv("EMGLEAM_DATA_DIR", raising=False)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,24 @@ def lab_capture(raster, frames=1, snr_db=None, seed=0, fs=LAB_FS):
     leak = emanate(raster, LAB_TIMING, LAB_LEAK, frames=frames)
     return capture(leak, ChannelModel(target_snr_db=snr_db, rng_seed=seed),
                    sample_rate_hz=fs, bandwidth_hz=LAB_BW if fs == LAB_FS else 12.5e6)
+
+
+def per_lag_frame_rate(mag, fs, f_r_hint, search_ppm=1000.0):
+    """Reference estimate: one normalized dot product per lag."""
+    lag0 = fs / f_r_hint
+    span = max(1, int(np.ceil(lag0 * search_ppm * 1e-6)))
+    lo = max(1, int(np.floor(lag0)) - span)
+    hi = min(len(mag) - 2, int(np.ceil(lag0)) + span)
+    x = mag - mag.mean()
+    corr = []
+    for lag in range(lo, hi + 1):
+        a, b = x[: len(x) - lag], x[lag:]
+        corr.append(a @ b / np.sqrt((a @ a) * (b @ b)))
+    best = int(np.argmax(corr))
+    c_m, c_0, c_p = corr[best - 1 : best + 2]
+    curvature = c_m - 2 * c_0 + c_p
+    lag = lo + best + (0.5 * (c_m - c_p) / curvature if curvature < 0 else 0.0)
+    return fs / lag
 
 
 def lab_params(**kw):
@@ -80,6 +100,23 @@ class TestEstimateFrameRate:
             est = estimate_frame_rate(am_demod(rec), LAB_FS, 60.0, 1000.0)
             hits += abs(est - 60.0) / 60.0 <= 1e-4
         assert hits == 10
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_per_lag_reference(self, seed):
+        rec = lab_capture(random_grid_raster(10 + seed), frames=3, snr_db=20.0, seed=seed)
+        mag = am_demod(rec)
+        est = estimate_frame_rate(mag, LAB_FS, 60.0, 1000.0)
+        ref = per_lag_frame_rate(mag, LAB_FS, 60.0, 1000.0)
+        assert abs(est - ref) / ref <= 1e-12
+
+    @pytest.mark.parametrize("level", [0.5, 1 / 3])
+    def test_flat_envelope_has_no_sync(self, level):
+        # 1/3 does not survive mean subtraction exactly: a constant residue
+        # would correlate perfectly at every lag
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoSyncError):
+                estimate_frame_rate(np.full(3 * 41_667, level), LAB_FS, 60.0, 1000.0)
 
     def test_white_noise_has_no_sync(self):
         rng = np.random.default_rng(7)
