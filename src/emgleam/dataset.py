@@ -18,6 +18,7 @@ Manifests and items are byte-identical across runs with equal seeds.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -55,6 +56,10 @@ class HardwareDim:
             raise ValidationError("hardware dimension: rates must be positive")
         if self.frames < 1:
             raise ValidationError("hardware dimension: frames must be >= 1")
+        if self.target_snr_db is not None and not math.isfinite(self.target_snr_db):
+            raise ValidationError(
+                f"hardware dimension: target_snr_db {self.target_snr_db} must be finite"
+            )
 
 
 def simulate(raster: ScreenRaster, hardware: HardwareDim, rng_seed: int) -> Emage:

@@ -6,35 +6,39 @@ transitions, modeled as a one-pole high-pass of the pixel stream, amplitude
 modulated onto a carrier at an harmonic of the pixel clock.  ``capture``
 then produces what a software-defined radio tuned near that carrier would
 record: the modulation spectrum band-limited to the capture bandwidth,
-resampled to the ADC rate, attenuated with near-field distance as
+sampled at the ADC rate, attenuated with near-field distance as
 amplitude ~ r^-2.5 (power density ~ r^-5), summed with interferers and
 calibrated complex white noise.
 
-The video frame repeats exactly, so all resampling is done in the frequency
-domain of one frame period: FFT bins sit at multiples of the refresh rate,
-the capture band selects bins, and an oversampled inverse FFT plus 8-point
-Lagrange interpolation evaluates the band-limited waveform at the ADC
-sample instants.  This is exact band-limited interpolation up to the
-interpolator's ~1e-6 relative error.
+The video frame repeats exactly, so a ``LeakSignal`` holds one frame and
+``capture`` samples it in the frequency domain: the frame's harmonics sit
+at multiples of the refresh rate f_r and the capture band selects them.
+With fs/f_r = P/Q in lowest terms, P ADC samples span exactly Q frames, so
+one P-point inverse FFT with harmonic q at bin q*Q mod P gives the exact
+band-limited samples, tiled to the capture length.  fs/f_r is such a
+fraction for every built-in rate (1250000/3 at 25 MS/s and 60 Hz); any
+other rate is snapped to the nearest fraction with P <= ~2^22 (59.94 Hz at
+25 MS/s becomes 59.94000005994 Hz), and the recording's timing carries the
+rate actually synthesised.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 from scipy import signal as sp_signal
+from scipy.fft import ifft, rfft
 
 from ._spectrum import calibrate_noise_sigma
 from .errors import TuningError, ValidationError
 from .raster import ScreenRaster
 from .util import dump_json, load_json
 
-_INTERP_OFFSETS = np.arange(-3, 5)  # 8-point Lagrange stencil
-_DENSE_OVERSAMPLE = 8  # dense grid rate over kept-content Nyquist rate
-_MAX_DENSE = 1 << 22
+_MAX_PERIOD = 1 << 22  # bound on the synthesised period in ADC samples when fs/f_r is snapped
 
 
 @dataclass(frozen=True)
@@ -135,6 +139,8 @@ class ChannelModel:
     def __post_init__(self):
         if not self.distance_r > 0:
             raise ValidationError("distance_r must be positive")
+        if self.target_snr_db is not None and not math.isfinite(self.target_snr_db):
+            raise ValidationError(f"target_snr_db {self.target_snr_db} must be finite or None")
 
     @property
     def amplitude_scale(self) -> float:
@@ -144,17 +150,12 @@ class ChannelModel:
 
 @dataclass
 class LeakSignal:
-    """High-passed pixel stream tagged with its carrier placement."""
+    """One period of the high-passed pixel stream, radiated for ``frames`` frames."""
 
-    samples: np.ndarray  # float64, frames * x_t * y_t at the pixel clock
+    samples: np.ndarray  # float64, x_t * y_t at the pixel clock
     timing: DisplayTiming
     carrier_hz: float
     frames: int
-    highpass_alpha: float
-
-    @property
-    def pixel_rate_hz(self) -> float:
-        return self.timing.pixel_clock_hz
 
 
 @dataclass
@@ -205,14 +206,9 @@ class IqRecording:
         )
 
 
-def video_waveform(raster: ScreenRaster, timing: DisplayTiming, frames: int = 1) -> np.ndarray:
-    """Pixel-clock sample stream: luminance in the visible region, 0 in blanking.
-
-    One frame is y_t lines of x_t samples; repeated frames are concatenations
-    of the identical frame.
-    """
-    if frames < 1:
-        raise ValidationError("frames must be >= 1")
+def video_waveform(raster: ScreenRaster, timing: DisplayTiming) -> np.ndarray:
+    """One frame of pixel-clock samples, y_t lines of x_t: luminance in the
+    visible region, 0 in blanking."""
     if (raster.width_px, raster.height_px) != (timing.visible_w, timing.visible_h):
         raise ValidationError(
             f"raster {raster.width_px}x{raster.height_px} does not match visible "
@@ -220,10 +216,7 @@ def video_waveform(raster: ScreenRaster, timing: DisplayTiming, frames: int = 1)
         )
     frame = np.zeros((timing.y_t, timing.x_t), dtype=np.float64)
     frame[: timing.visible_h, : timing.visible_w] = raster.luminance
-    flat = frame.reshape(-1)
-    if frames == 1:
-        return flat
-    return np.tile(flat, frames)
+    return frame.reshape(-1)
 
 
 def _periodic_highpass(frame: np.ndarray, alpha: float) -> np.ndarray:
@@ -243,29 +236,22 @@ def emanate(
     frames: int = 1,
 ) -> LeakSignal:
     """Edge-emphasised emission of the video waveform at the pixel clock."""
-    wave = video_waveform(raster, timing, frames=1)
-    hp = _periodic_highpass(wave, leak.highpass_alpha) * leak.coupling_gain
-    samples = np.tile(hp, frames) if frames > 1 else hp
+    if frames < 1:
+        raise ValidationError("frames must be >= 1")
+    wave = video_waveform(raster, timing)
     return LeakSignal(
-        samples=samples,
+        samples=_periodic_highpass(wave, leak.highpass_alpha) * leak.coupling_gain,
         timing=timing,
         carrier_hz=leak.carrier_hz(timing),
         frames=frames,
-        highpass_alpha=leak.highpass_alpha,
     )
 
 
-def _lagrange_weights(frac: np.ndarray) -> list[np.ndarray]:
-    weights = []
-    for j in _INTERP_OFFSETS:
-        w = np.ones_like(frac)
-        denom = 1.0
-        for k in _INTERP_OFFSETS:
-            if k != j:
-                w = w * (frac - k)
-                denom *= j - k
-        weights.append(w / denom)
-    return weights
+def _period(sample_rate_hz: float, f_r: float) -> Fraction:
+    """fs/f_r as P/Q, snapped so that P stays near or below _MAX_PERIOD."""
+    return (Fraction(sample_rate_hz) / Fraction(f_r)).limit_denominator(
+        max(1, _MAX_PERIOD // math.ceil(sample_rate_hz / f_r))
+    )
 
 
 def _component_baseband(
@@ -279,51 +265,33 @@ def _component_baseband(
 ) -> np.ndarray:
     """Band-limited complex baseband of one periodic frame at the ADC rate.
 
-    The frame's spectrum lives on multiples of f_r.  Components whose
-    post-shift frequency falls inside the capture band are placed on an
-    oversampled dense grid, inverse transformed, interpolated at the output
-    instants and finally rotated by the carrier-to-center offset.
+    The frame's spectrum lives on multiples of the refresh rate.  With
+    fs/f_r snapped to P/Q (``_period``; exact for any small-denominator
+    ratio), ADC sample k sees harmonic q at phase 2*pi*q*Q*k/P, so the kept
+    harmonics, those whose post-shift frequency falls inside the capture
+    band, go to bins q*Q mod P of one P-point inverse FFT.  Its output is
+    exactly Q frames of band-limited samples; they are tiled to n_out and
+    rotated by the carrier-to-center offset.  When the band spans the full
+    sample rate, harmonics fs apart alias onto one bin and are summed.
+    ``phase_frames`` delays the frame by that fraction of its period.
     """
-    n_p = len(frame)
-    spec = np.fft.rfft(frame)
-    q = np.arange(len(spec))
-    freq = q * f_r  # positive-frequency bins
-
-    keep_pos = np.abs(freq + f_offset_hz) <= half_band_hz
-    keep_neg = np.abs(-freq + f_offset_hz) <= half_band_hz
-    keep_neg[0] = False  # DC handled once
-    if n_p % 2 == 0:
-        keep_pos[-1] = False  # drop the shared Nyquist bin
-        keep_neg[-1] = False
-    if not (keep_pos.any() or keep_neg.any()):
+    period = _period(sample_rate_hz, f_r)
+    p, q_frames = period.numerator, period.denominator
+    f_r = float(Fraction(sample_rate_hz) / period)  # the rate synthesised
+    spec = rfft(frame)
+    q = np.arange(len(spec) - (len(frame) % 2 == 0))  # the shared Nyquist bin is dropped
+    pos = q[np.abs(q * f_r + f_offset_hz) <= half_band_hz]
+    neg = q[1:][np.abs(f_offset_hz - q[1:] * f_r) <= half_band_hz]
+    if not (len(pos) or len(neg)):
         return np.zeros(n_out, dtype=np.complex128)
-
-    f_max = 0.0
-    if keep_pos.any():
-        f_max = max(f_max, float(freq[keep_pos].max()))
-    if keep_neg.any():
-        f_max = max(f_max, float(freq[keep_neg].max()))
-    m = 1 << max(10, int(np.ceil(np.log2(max(2.0, 2 * _DENSE_OVERSAMPLE * f_max / f_r)))))
-    m = min(m, _MAX_DENSE)
-
-    dense_spec = np.zeros(m, dtype=np.complex128)
-    scale = m / n_p
-    idx_pos = q[keep_pos]
-    dense_spec[idx_pos % m] += spec[keep_pos] * scale
-    idx_neg = q[keep_neg]
-    dense_spec[(-idx_neg) % m] += np.conj(spec[keep_neg]) * scale
+    harmonic = np.concatenate([pos, -neg])
+    coef = np.concatenate([spec[pos], np.conj(spec[neg])]) / len(frame)
     if phase_frames:
-        bins = np.fft.fftfreq(m, d=1.0 / m)  # signed harmonic index
-        dense_spec *= np.exp(-2j * np.pi * bins * phase_frames)
-    dense = np.fft.ifft(dense_spec)
+        coef *= np.exp(-2j * np.pi * harmonic * phase_frames)
 
-    pos = np.arange(n_out, dtype=np.float64) * (m * f_r / sample_rate_hz)
-    base = np.floor(pos).astype(np.int64)
-    frac = pos - base
-    out = np.zeros(n_out, dtype=np.complex128)
-    for j, w in zip(_INTERP_OFFSETS, _lagrange_weights(frac)):
-        out += dense[(base + j) % m] * w
-
+    bins = np.zeros(p, dtype=np.complex128)
+    np.add.at(bins, harmonic * q_frames % p, coef)
+    out = np.resize(ifft(bins, norm="forward"), n_out)
     if f_offset_hz:
         t = np.arange(n_out, dtype=np.float64) / sample_rate_hz
         out *= np.exp(2j * np.pi * f_offset_hz * t)
@@ -341,6 +309,9 @@ def capture(
 
     Deterministic given channel.rng_seed: the seeded stream supplies any
     "random" interferer phases (in listed order) and then the noise samples.
+    The recording's timing carries the refresh rate actually synthesised,
+    fs*Q/P (see ``_component_baseband``): the leak's own rate whenever fs/f_r
+    is exact.
     """
     if center_freq_hz is None:
         center_freq_hz = leak.carrier_hz
@@ -351,16 +322,17 @@ def capture(
             f"{center_freq_hz:.6g} Hz at {sample_rate_hz:.6g} S/s"
         )
     half_band = min(bandwidth_hz, sample_rate_hz) / 2.0
-    f_r = leak.timing.f_r
-    n_out = int(round(leak.frames * sample_rate_hz / f_r))
+    period = _period(sample_rate_hz, leak.timing.f_r)
+    n_out = round(leak.frames * period)
     rng = np.random.default_rng(channel.rng_seed)
 
-    frame = leak.samples[: leak.timing.samples_per_frame]
-    composite = _component_baseband(frame, f_r, f_off, sample_rate_hz, half_band, n_out)
+    composite = _component_baseband(
+        leak.samples, leak.timing.f_r, f_off, sample_rate_hz, half_band, n_out
+    )
 
     for interf in channel.interferers:
         ileak = interf.leak or LeakageModel()
-        isig = emanate(interf.raster, interf.timing, ileak, frames=1)
+        isig = emanate(interf.raster, interf.timing, ileak)
         phase = interf.phase
         if phase == "random":
             phase = float(rng.uniform())
@@ -386,7 +358,7 @@ def capture(
         center_freq_hz=center_freq_hz,
         samples=composite.astype(np.complex64),
         frames_contained=leak.frames,
-        timing=leak.timing,
+        timing=replace(leak.timing, f_r=float(Fraction(sample_rate_hz) / period)),
         seed=channel.rng_seed,
     )
 
@@ -403,7 +375,7 @@ def edge_reference(
     Used as the independent reference for round-trip fidelity checks; it
     never touches the capture/reconstruction path.
     """
-    wave = video_waveform(raster, timing, frames=1)
+    wave = video_waveform(raster, timing)
     mag = np.abs(_periodic_highpass(wave, leak.highpass_alpha) * leak.coupling_gain)
     n_p = len(mag)
     pos = np.arange(grid_w * grid_h, dtype=np.float64) * (n_p / (grid_w * grid_h))

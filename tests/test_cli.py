@@ -27,6 +27,22 @@ class TestBasics:
         assert "error: --snr expects a number" in capsys.readouterr().err
         assert not (tmp_path / "m.iq").exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--frames", 0], "frames must be >= 1"),
+        (["--frames", -1], "frames must be >= 1"),
+        (["--frames", 0, "--snr", 20], "frames must be >= 1"),
+        (["--snr", "nan"], "must be finite"),
+        (["--snr", "inf"], "must be finite"),
+        (["--snr=-inf"], "must be finite"),
+    ])
+    def test_bad_emanate_frames_or_snr_is_validation_error(self, tmp_path, capsys, flags, message):
+        assert run(["render", "--message", "123456", "--screen", "540x960",
+                    "-o", tmp_path / "m.pgm"]) == 0
+        assert run(["emanate", tmp_path / "m.pgm", "--profile", "galaxy_a3", *flags,
+                    "-o", tmp_path / "m.iq"]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "m.iq").exists()
+
     def test_unknown_profile_lists_alternatives(self, tmp_path, capsys):
         rc = run(["render", "--message", "123456", "-o", tmp_path / "m.pgm"])
         assert rc == 0
@@ -191,10 +207,7 @@ class TestDatasetCommands:
         assert run(["split", "--schedule", "1", "--test-sessions", "1"]) == 2
 
 
-class TestTestbedCommand:
-    def test_testbed_run(self, tmp_path):
-        spec = tmp_path / "model.ini"
-        spec.write_text("""\
+TESTBED_SPEC = """\
 [message]
 letters = C,T
 
@@ -216,13 +229,26 @@ test_items_per_class_per_scale = 2
 [computational_resources]
 epochs = 10
 batch_size = 16
-""")
+"""
+
+
+class TestTestbedCommand:
+    def test_testbed_run(self, tmp_path):
+        spec = tmp_path / "model.ini"
+        spec.write_text(TESTBED_SPEC)
         outdir = tmp_path / "report"
         assert run(["testbed", "--spec", spec, "--seed", 4, "-o", outdir]) == 0
         report = json.loads((outdir / "report.json").read_text())
         assert report["letters"] == ["C", "T"]
         assert "20" in report["per_scale_accuracy"]
         assert (outdir / "confusion.pgm").exists()
+
+    def test_non_finite_snr_spec_rejected(self, tmp_path, capsys):
+        spec = tmp_path / "nan.ini"
+        spec.write_text(TESTBED_SPEC.replace("target_snr_db = 30", "target_snr_db = nan"))
+        assert run(["testbed", "--spec", spec, "-o", tmp_path / "r"]) == 2
+        assert "target_snr_db nan must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
     def test_incomplete_spec_rejected(self, tmp_path):
         spec = tmp_path / "incomplete.ini"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from emgleam.dataset import (
+    HardwareDim,
     Session,
     SplitPlan,
     build_training_sets,
@@ -158,6 +159,13 @@ def test_bad_frame_count_is_validation_error(tmp_path, kind, frames):
         else:
             run_code_session(profile, tmp_path, n_codes=1, frames=frames)
     assert not (tmp_path / "sessions").exists()
+
+
+@pytest.mark.parametrize("snr", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_snr_is_validation_error(snr):
+    profile = get_profile("galaxy_a3")
+    with pytest.raises(ValidationError, match="must be finite"):
+        HardwareDim(profile, profile.sample_rate_hz, profile.bandwidth_hz, snr)
 
 
 class TestCodeSession:

@@ -7,12 +7,13 @@ from emgleam.emanator import (
     Interferer,
     IqRecording,
     LeakageModel,
+    _component_baseband,
     capture,
     emanate,
     video_waveform,
 )
 from emgleam.errors import TuningError, ValidationError
-from emgleam.profiles import get_profile
+from emgleam.profiles import PROFILES, get_profile
 from emgleam.raster import ScreenRaster, blank_screen
 
 from helpers import LAB_BW, LAB_FS, LAB_LEAK, LAB_TIMING, LAB_H, LAB_W, random_grid_raster
@@ -43,12 +44,6 @@ class TestVideoWaveform:
         assert np.all(frame[:, 750:] == 0.0)  # horizontal blanking of every line
         assert np.all(frame[1334:, :] == 0.0)  # vertical blanking lines
         assert np.all(frame[:1334, :750] == 1.0)
-
-    def test_frames_concatenate_identically(self):
-        raster = random_grid_raster(1)
-        one = video_waveform(raster, LAB_TIMING, frames=1)
-        three = video_waveform(raster, LAB_TIMING, frames=3)
-        assert np.array_equal(three, np.tile(one, 3))
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValidationError, match="does not match visible"):
@@ -91,13 +86,19 @@ class TestEmanate:
         raster = random_grid_raster(3)
         leak = emanate(raster, LAB_TIMING, LeakageModel(highpass_alpha=0.5), frames=2)
         n = LAB_TIMING.samples_per_frame
-        # exactly periodic: second frame equals the first
-        assert np.array_equal(leak.samples[:n], leak.samples[n:])
-        # recursion holds mid-stream: y[n] = x[n] - x[n-1] + 0.5 y[n-1]
         x = video_waveform(raster, LAB_TIMING)
-        y = leak.samples[:n]
+        y = leak.samples
+        assert len(y) == n  # one period, however many frames radiate
+        # recursion holds mid-stream: y[n] = x[n] - x[n-1] + 0.5 y[n-1]
         idx = np.arange(1, n)
         assert np.allclose(y[idx], x[idx] - x[idx - 1] + 0.5 * y[idx - 1], atol=1e-9)
+        # and across the wrap: the frame before sample 0 is this same frame
+        assert y[0] == pytest.approx(x[0] - x[n - 1] + 0.5 * y[n - 1], abs=1e-9)
+
+    @pytest.mark.parametrize("frames", [0, -1])
+    def test_bad_frame_count_is_validation_error(self, frames):
+        with pytest.raises(ValidationError, match="frames must be >= 1"):
+            emanate(random_grid_raster(0), LAB_TIMING, LAB_LEAK, frames=frames)
 
 
 class TestCapture:
@@ -206,6 +207,70 @@ class TestCapture:
         assert np.array_equal(raw[1::2], rec.samples.imag.astype("<f4"))
 
 
+TINY_FS = 25e3  # fs/f_r = 1250/3: 1250 samples span exactly 3 frames
+
+
+def tiny_frame(seed, f_r=60.0):
+    timing = DisplayTiming(20, 12, f_r, 16, 10)
+    rng = np.random.default_rng(seed)
+    raster = ScreenRaster(16, 10, rng.random((10, 16)).astype(np.float32), [])
+    return emanate(raster, timing, LeakageModel())
+
+
+def harmonic_sum(frame, f_r, f_offset_hz, sample_rate_hz, half_band_hz, k, phase_frames=0.0):
+    """Baseband at ADC samples k as a direct sum of the frame's kept
+    harmonics at t_k = k / fs, the shared Nyquist harmonic left out."""
+    n = len(frame)
+    coef = np.fft.fft(frame) / n
+    h = np.round(np.fft.fftfreq(n, 1.0 / n))
+    keep = (np.abs(h * f_r + f_offset_hz) <= half_band_hz) & (np.abs(h) < n / 2)
+    coef = coef[keep] * np.exp(-2j * np.pi * h[keep] * phase_frames)
+    t = np.asarray(k, dtype=np.float64) / sample_rate_hz
+    return np.exp(2j * np.pi * (np.outer(t, h[keep] * f_r) + (f_offset_hz * t)[:, None])) @ coef
+
+
+def rel_err(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+class TestExactSynthesis:
+    def test_offset_carrier_and_interferer_phase(self):
+        frame = tiny_frame(0).samples
+        args = (frame, 60.0, 1700.0, TINY_FS, 5000.0, 2000)
+        got = _component_baseband(*args, phase_frames=0.37)
+        want = harmonic_sum(*args[:5], np.arange(2000), phase_frames=0.37)
+        assert rel_err(got, want) <= 1e-9
+
+    def test_band_spanning_the_sample_rate(self):
+        # fs = 200 f_r and half band fs/2: harmonics +100 and -100 both lie
+        # on the band edge and alias onto one ADC bin
+        frame = tiny_frame(1).samples
+        args = (frame, 60.0, 0.0, 12e3, 6e3, 500)
+        assert rel_err(_component_baseband(*args), harmonic_sum(*args[:5], np.arange(500))) <= 1e-9
+
+    def test_non_round_rate_is_snapped_and_recorded(self):
+        leak = tiny_frame(2, f_r=59.94)
+        rec = capture(leak, ChannelModel(), sample_rate_hz=25e6, bandwidth_hz=12.5e6)
+        f_r = rec.timing.f_r
+        assert f_r != 59.94
+        assert f_r == pytest.approx(59.94000005994, rel=1e-12)
+        assert rec.timing == DisplayTiming(20, 12, f_r, 16, 10)
+        n_out = len(rec.samples)
+        k = np.unique(np.linspace(0, n_out - 1, 400).astype(np.int64))
+        want = harmonic_sum(leak.samples, f_r, 0.0, 25e6, 6.25e6, k)
+        got = _component_baseband(leak.samples, 59.94, 0.0, 25e6, 6.25e6, n_out)
+        assert rel_err(got[k], want) <= 1e-9
+        assert rel_err(rec.samples[k], want) <= 1e-6  # complex64
+
+    @pytest.mark.parametrize("name", sorted(PROFILES))
+    def test_round_rate_recording_keeps_the_leak_timing(self, name):
+        profile = get_profile(name)
+        timing = profile.timing()
+        leak = emanate(blank_screen(timing.visible_w, timing.visible_h), timing, profile.leakage())
+        rec = capture(leak, ChannelModel(), profile.sample_rate_hz, bandwidth_hz=profile.bandwidth_hz)
+        assert rec.timing == leak.timing
+
+
 class TestSnrCalibrationRange:
     def test_targets_across_the_working_range(self):
         from emgleam.receiver import measure_snr
@@ -222,6 +287,11 @@ class TestChannelModel:
         assert ChannelModel(distance_r=2.0).amplitude_scale == pytest.approx(2 ** -2.5, abs=1e-12)
         with pytest.raises(ValidationError):
             ChannelModel(distance_r=0.0)
+
+    @pytest.mark.parametrize("snr", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_snr_rejected(self, snr):
+        with pytest.raises(ValidationError, match="finite"):
+            ChannelModel(target_snr_db=snr)
 
     def test_leakage_model_validation(self):
         with pytest.raises(ValidationError):
