@@ -4,49 +4,54 @@ Both the receiver's SNR meter and the channel's noise calibration must use
 the same estimator, otherwise "requested" and "measured" SNR drift apart.
 SNR here is always: peak periodogram bin over the median bin in the
 analysis band, in dB.
+
+The estimator is Welch's averaged periodogram (periodic Hann window, half
+overlap, no detrending, two-sided, density scaling), computed directly with
+one batched FFT per block of segments.  Noise calibration needs no search:
+flat noise of mean bin power n raises every bin by n on average and the
+median bin by its median, beta*n, so the predicted SNR is linear in n and
+solved in closed form.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import signal as sp_signal
-from scipy.stats import chi2
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.fft import fft, fftfreq, fftshift
+from scipy.special import gammaincinv
+
+_WELCH_BLOCK = 4096  # segments per FFT call; bounds the transient memory
 
 
 def welch_psd(x: np.ndarray, fs: float, resolution_hz: float):
     """Two-sided averaged periodogram at the given spectral resolution.
 
+    Segments of round(fs / resolution_hz) samples (at least 8, at most
+    len(x)) start every half segment; a trailing partial segment is dropped.
     Returns (freqs, psd, n_segments) with frequencies sorted ascending
     (fftshifted), covering [-fs/2, fs/2).
     """
     x = np.asarray(x)
-    nperseg = max(8, int(round(fs / resolution_hz)))
-    nperseg = min(nperseg, len(x))
-    noverlap = nperseg // 2
-    freqs, psd = sp_signal.welch(
-        x,
-        fs=fs,
-        window="hann",
-        nperseg=nperseg,
-        noverlap=noverlap,
-        detrend=False,
-        return_onesided=False,
-        scaling="density",
-    )
-    order = np.argsort(freqs)
-    n_segments = 1 + max(0, (len(x) - nperseg) // (nperseg - noverlap))
-    return freqs[order], psd[order], n_segments
+    nperseg = min(max(8, int(round(fs / resolution_hz))), len(x))
+    segments = sliding_window_view(x, nperseg)[:: nperseg - nperseg // 2]
+    window = np.hanning(nperseg + 1)[:-1]
+    power = np.zeros(nperseg)
+    for start in range(0, len(segments), _WELCH_BLOCK):
+        spec = fft(segments[start : start + _WELCH_BLOCK] * window, axis=1)
+        power += np.sum(spec.real**2 + spec.imag**2, axis=0)
+    psd = power / (len(segments) * fs * np.sum(window**2))
+    return fftshift(fftfreq(nperseg, 1.0 / fs)), fftshift(psd), len(segments)
 
 
 def median_bias(n_segments: int) -> float:
     """Median / mean of a K-segment averaged periodogram noise bin.
 
     Each averaged bin of complex white noise is distributed like
-    chi-square with 2K degrees of freedom scaled to unit mean; the median
-    of that distribution sits slightly below 1.
+    chi-square with 2K degrees of freedom scaled to unit mean, i.e.
+    Gamma(K, 1/K); the median of that distribution sits slightly below 1.
     """
     k = max(1, int(n_segments))
-    return float(chi2.ppf(0.5, 2 * k) / (2 * k))
+    return float(gammaincinv(k, 0.5) / k)
 
 
 def band_slice(freqs: np.ndarray, center_hz: float, band_hz: float):
@@ -78,31 +83,21 @@ def calibrate_noise_sigma(
 ) -> float:
     """Total complex-noise standard deviation achieving the target SNR.
 
-    Solves peak(S + n) / median(S + n) = target on the Welch periodogram of
-    the clean signal, treating the noise as a flat floor at its expected
-    median.  A zero signal has no defined SNR; sigma falls back to 1.
+    Treats the noise as a flat floor of mean bin power n = sigma^2 / fs at
+    its expected median beta*n (``median_bias``), so the predicted SNR is
+    (peak + n) / (median + beta*n); setting it to r = 10^(target/10) gives
+    n = (peak - r*median) / (r*beta - 1).  No noise power reaches a target
+    at or below -10*log10(beta) and none is needed above the clean SNR, so
+    sigma saturates at 1e9 and 1e-9 times sqrt(peak * fs).  A zero signal
+    has no defined SNR; sigma falls back to 1.
     """
     _, psd, k = welch_psd(np.asarray(clean, dtype=np.complex128), fs, resolution_hz)
     p_pk = float(np.max(psd)) if psd.size else 0.0
     if p_pk <= 0.0:
         return 1.0
-
-    med_factor = median_bias(k)
-
-    def predicted_db(sigma: float) -> float:
-        n_mean = sigma * sigma / fs
-        return 10.0 * np.log10((p_pk + n_mean) / np.median(psd + n_mean * med_factor))
-
+    beta = median_bias(k)
+    # beyond +-300 dB sigma saturates either way; the clip keeps r finite
+    r = 10.0 ** (min(max(target_snr_db, -300.0), 300.0) / 10.0)
+    n_mean = (p_pk - r * float(np.median(psd))) / (r * beta - 1.0) if r * beta > 1.0 else np.inf
     ref = np.sqrt(p_pk * fs)
-    lo, hi = ref * 1e-9, ref * 1e9
-    if target_snr_db >= predicted_db(lo):
-        return lo
-    if target_snr_db <= predicted_db(hi):
-        return hi
-    for _ in range(200):
-        mid = np.sqrt(lo * hi)
-        if predicted_db(mid) > target_snr_db:
-            lo = mid
-        else:
-            hi = mid
-    return float(np.sqrt(lo * hi))
+    return float(np.clip(np.sqrt(max(n_mean, 0.0) * fs), ref * 1e-9, ref * 1e9))

@@ -153,7 +153,7 @@ def _cmd_reconstruct(args) -> int:
         width = args.width or recording.timing.x_t
         height = args.height or recording.timing.y_t
     f_r = args.frame_rate or recording.timing.f_r
-    params = ReconParams(width, height, f_r, gain=args.gain, lowpass_cutoff=args.lowpass)
+    params = ReconParams(width, height, f_r, lowpass_cutoff=args.lowpass)
     emage = reconstruct(recording, params)
     emage.save(args.output)
     _echo_config(args.output, "reconstruct", args, {"params": params.as_dict()})
@@ -403,7 +403,6 @@ def build_parser() -> _Parser:
     p.add_argument("--width", type=int)
     p.add_argument("--height", type=int)
     p.add_argument("--frame-rate", type=float)
-    p.add_argument("--gain", type=float, default=1.0)
     p.add_argument("--lowpass", type=float, default=1.0)
     p.add_argument("-o", "--output", required=True)
     common(p)

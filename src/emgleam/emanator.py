@@ -30,8 +30,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-from scipy import signal as sp_signal
-from scipy.fft import ifft, rfft
+from scipy.fft import ifft, irfft, rfft
 
 from ._spectrum import calibrate_noise_sigma
 from .errors import TuningError, ValidationError
@@ -66,10 +65,6 @@ class DisplayTiming:
     @property
     def pixel_clock_hz(self) -> float:
         return self.x_t * self.y_t * self.f_r
-
-    @property
-    def samples_per_frame(self) -> int:
-        return self.x_t * self.y_t
 
     @classmethod
     def for_visible(cls, visible_w: int, visible_h: int, f_r: float = 60.0) -> "DisplayTiming":
@@ -220,13 +215,17 @@ def video_waveform(raster: ScreenRaster, timing: DisplayTiming) -> np.ndarray:
 
 
 def _periodic_highpass(frame: np.ndarray, alpha: float) -> np.ndarray:
-    """y[n] = x[n] - x[n-1] + alpha*y[n-1] in periodic steady state."""
+    """y[n] = x[n] - x[n-1] + alpha*y[n-1] in periodic steady state.
+
+    The frame repeats, so x[-1] is x[N-1] and y[-1] is y[N-1]: the filter
+    acts circularly.  Its exact response divides each of the N frame
+    harmonics of the first difference by the pole's 1 - alpha*e^{-jw}.
+    """
+    diff = frame - np.roll(frame, 1)
     if alpha == 0.0:
-        return frame - np.roll(frame, 1)
-    # warm the recursion over one extra period; the transient term decays
-    # as alpha^N which underflows for any realistic frame length
-    doubled = sp_signal.lfilter([1.0, -1.0], [1.0, -alpha], np.concatenate([frame, frame]))
-    return doubled[len(frame) :]
+        return diff
+    w = 2.0 * np.pi * np.arange(len(frame) // 2 + 1) / len(frame)
+    return irfft(rfft(diff) / (1.0 - alpha * np.exp(-1j * w)), len(frame))
 
 
 def emanate(

@@ -46,7 +46,6 @@ class ReconParams:
     width_px: int
     height_px: int
     f_r_hz: float
-    gain: float = 1.0
     lowpass_cutoff: float = 1.0  # fraction of Nyquist; >= 1 disables
 
     def __post_init__(self):
@@ -54,8 +53,6 @@ class ReconParams:
             raise ValidationError("reconstruction grid must be positive")
         if not self.f_r_hz > 0:
             raise ValidationError("frame rate must be positive")
-        if not self.gain > 0:
-            raise ValidationError("gain must be positive")
         if not self.lowpass_cutoff > 0:
             raise ValidationError("lowpass_cutoff must be positive")
 
@@ -64,7 +61,6 @@ class ReconParams:
             "width_px": self.width_px,
             "height_px": self.height_px,
             "f_r_hz": self.f_r_hz,
-            "gain": self.gain,
             "lowpass_cutoff": self.lowpass_cutoff,
         }
 
@@ -251,7 +247,7 @@ def reconstruct(recording: IqRecording, params: ReconParams) -> Emage:
             raise ValidationError(
                 f"params f_r {params.f_r_hz} deviates more than 5% from recorded {sidecar_fr}"
             )
-    mag = am_demod(recording, params.lowpass_cutoff) * params.gain
+    mag = am_demod(recording, params.lowpass_cutoff)
     fs = recording.sample_rate_hz
     frame_len = fs / params.f_r_hz
     # grid positions stay strictly inside each frame, so a frame missing its

@@ -82,18 +82,27 @@ class TestEmanate:
         leak = emanate(random_grid_raster(0), LAB_TIMING, LeakageModel(harmonic=5))
         assert leak.carrier_hz == 5 * LAB_TIMING.pixel_clock_hz
 
-    def test_highpass_pole_periodic_steady_state(self):
-        raster = random_grid_raster(3)
-        leak = emanate(raster, LAB_TIMING, LeakageModel(highpass_alpha=0.5), frames=2)
-        n = LAB_TIMING.samples_per_frame
-        x = video_waveform(raster, LAB_TIMING)
+    @pytest.mark.parametrize(
+        "timing, alpha",
+        [(LAB_TIMING, 0.5), (DisplayTiming(20, 12, 60.0, 16, 10), 0.99)],
+        ids=["lab-0.5", "tiny-0.99"],
+    )
+    def test_highpass_pole_periodic_steady_state(self, timing, alpha):
+        # at alpha 0.99 a 240-sample frame leaves 0.99^240 = 9% of any
+        # start-up transient, so only the exact circular response passes
+        rng = np.random.default_rng(3)
+        lum = rng.random((timing.visible_h, timing.visible_w)).astype(np.float32)
+        raster = ScreenRaster(timing.visible_w, timing.visible_h, lum, [])
+        leak = emanate(raster, timing, LeakageModel(highpass_alpha=alpha), frames=2)
+        n = timing.x_t * timing.y_t
+        x = video_waveform(raster, timing)
         y = leak.samples
         assert len(y) == n  # one period, however many frames radiate
-        # recursion holds mid-stream: y[n] = x[n] - x[n-1] + 0.5 y[n-1]
+        # recursion holds mid-stream: y[n] = x[n] - x[n-1] + alpha y[n-1]
         idx = np.arange(1, n)
-        assert np.allclose(y[idx], x[idx] - x[idx - 1] + 0.5 * y[idx - 1], atol=1e-9)
+        assert np.allclose(y[idx], x[idx] - x[idx - 1] + alpha * y[idx - 1], rtol=0, atol=1e-12)
         # and across the wrap: the frame before sample 0 is this same frame
-        assert y[0] == pytest.approx(x[0] - x[n - 1] + 0.5 * y[n - 1], abs=1e-9)
+        assert y[0] == pytest.approx(x[0] - x[n - 1] + alpha * y[n - 1], rel=0, abs=1e-12)
 
     @pytest.mark.parametrize("frames", [0, -1])
     def test_bad_frame_count_is_validation_error(self, frames):

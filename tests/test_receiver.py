@@ -309,5 +309,3 @@ class TestMeasureSnr:
     def test_recon_params_validation(self):
         with pytest.raises(ValidationError):
             ReconParams(0, 10, 60.0)
-        with pytest.raises(ValidationError):
-            ReconParams(10, 10, 60.0, gain=0.0)
