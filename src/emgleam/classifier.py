@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DivergenceError, ValidationError
 from .util import dump_json
@@ -51,6 +52,9 @@ class CnnSpec:
             h, w = h // 2, w // 2
             if h < 1 or w < 1:
                 raise ValidationError(f"input {self.input_hw} pools away to nothing")
+        # flattened length of the last pooled map: an attribute, not a field,
+        # so specs compare and serialise as before
+        object.__setattr__(self, "flatten_size", self.conv_channels[1] * h * w)
 
     def as_dict(self) -> dict:
         return {
@@ -79,11 +83,14 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 class _Conv:
-    """Valid 5x5 convolution as an im2col matrix product.
+    """Valid kxk convolution as an im2col matrix product.
 
-    Patches copy into a (C*k*k, N*OH*OW) matrix once per pass (contiguous
-    row writes); the same matrix serves the weight gradient, and the input
-    gradient scatters the column gradient back with the mirrored loop.
+    The (C*k*k, N*OH*OW) patch matrix (rows in (c, u, v) order, columns in
+    (n, y, x) order) is one copy of a strided window view of the input; it
+    serves the weight gradient too.  The input gradient scatters the column
+    gradient back with one k*k loop over all channels at once, so each input
+    element sums its (u, v) terms in row-major order: another order changes
+    the float32 sums and the trained model bytes.
     """
 
     def __init__(self, c_in: int, c_out: int, k: int, dtype):
@@ -99,15 +106,9 @@ class _Conv:
         k = self.k
         oh, ow = h - k + 1, w - k + 1
         self._x_shape = x.shape
-        cols = np.empty((c * k * k, n * oh * ow), dtype=x.dtype)
-        row = 0
-        for ci in range(c):
-            for u in range(k):
-                for v in range(k):
-                    cols[row] = x[:, ci, u : u + oh, v : v + ow].reshape(-1)
-                    row += 1
-        self._cols = cols
-        out = self.w.reshape(self.w.shape[0], -1) @ cols  # (F, N*OH*OW)
+        windows = sliding_window_view(x, (k, k), axis=(2, 3))  # (N, C, OH, OW, k, k)
+        self._cols = windows.transpose(1, 4, 5, 0, 2, 3).reshape(c * k * k, n * oh * ow)
+        out = self.w.reshape(self.w.shape[0], -1) @ self._cols  # (F, N*OH*OW)
         out += self.b[:, None]
         return np.ascontiguousarray(out.reshape(-1, n, oh, ow).transpose(1, 0, 2, 3))
 
@@ -117,15 +118,12 @@ class _Conv:
         gm = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(f, -1)
         self.gw = (gm @ self._cols.T).reshape(self.w.shape)
         self.gb = gm.sum(axis=1)
-        dcols = self.w.reshape(f, -1).T @ gm  # (C*k*k, N*OH*OW)
+        dcols = (self.w.reshape(f, -1).T @ gm).reshape(-1, k, k, n, oh, ow)
         dx = np.zeros(self._x_shape, dtype=g.dtype)
-        row = 0
-        c = self._x_shape[1]
-        for ci in range(c):
-            for u in range(k):
-                for v in range(k):
-                    dx[:, ci, u : u + oh, v : v + ow] += dcols[row].reshape(n, oh, ow)
-                    row += 1
+        dx_c = dx.transpose(1, 0, 2, 3)  # (C, N, H, W) view
+        for u in range(k):
+            for v in range(k):
+                dx_c[:, :, u : u + oh, v : v + ow] += dcols[:, u, v]
         return dx
 
     @property
@@ -134,25 +132,29 @@ class _Conv:
 
 
 class _MaxPool2:
+    """2x2 max pooling, stride 2; an odd last row or column is dropped.
+
+    The four quadrant views of the 2x2 blocks stack in row-major order, so
+    ``argmax`` sends the gradient of a tied block to its first maximum.
+    """
+
     params = property(lambda self: [])
     grads = property(lambda self: [])
 
+    @staticmethod
+    def _quadrants(a, h2, w2):
+        return [a[:, :, i : 2 * h2 : 2, j : 2 * w2 : 2] for i in (0, 1) for j in (0, 1)]
+
     def forward(self, x):
-        n, c, h, w = x.shape
-        h2, w2 = h // 2, w // 2
         self._in_shape = x.shape
-        blocks = x[:, :, : h2 * 2, : w2 * 2].reshape(n, c, h2, 2, w2, 2)
-        blocks = blocks.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h2, w2, 4)
-        self._arg = blocks.argmax(axis=-1)
-        return blocks.max(axis=-1)
+        quads = np.stack(self._quadrants(x, x.shape[2] // 2, x.shape[3] // 2))
+        self._arg = quads.argmax(axis=0)
+        return quads.max(axis=0)
 
     def backward(self, g):
-        n, c, h2, w2 = g.shape
-        flat = np.zeros((n, c, h2, w2, 4), dtype=g.dtype)
-        np.put_along_axis(flat, self._arg[..., None], g[..., None], axis=-1)
-        flat = flat.reshape(n, c, h2, w2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
         gx = np.zeros(self._in_shape, dtype=g.dtype)
-        gx[:, :, : h2 * 2, : w2 * 2] = flat.reshape(n, c, h2 * 2, w2 * 2)
+        for idx, quad in enumerate(self._quadrants(gx, *g.shape[2:])):
+            np.copyto(quad, g, where=self._arg == idx)
         return gx
 
 
@@ -212,10 +214,6 @@ class CnnModel:
         k = spec.kernel
         c1, c2 = spec.conv_channels
         f1, f2 = spec.fc_sizes
-        h, w = spec.input_hw
-        h, w = (h - k + 1) // 2, (w - k + 1) // 2
-        h, w = (h - k + 1) // 2, (w - k + 1) // 2
-        self.flatten_size = c2 * h * w
         self.layers = [
             _Conv(1, c1, k, self.dtype),
             _Relu(),
@@ -224,7 +222,7 @@ class CnnModel:
             _Relu(),
             _MaxPool2(),
             _Flatten(),
-            _Dense(self.flatten_size, f1, self.dtype),
+            _Dense(spec.flatten_size, f1, self.dtype),
             _Relu(),
             _Dense(f1, f2, self.dtype),
             _Relu(),

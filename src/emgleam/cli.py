@@ -366,9 +366,6 @@ def build_parser() -> _Parser:
 
     def common(p):
         p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="workers for capture-heavy stages; 1 (default) is bit-deterministic "
-                            "and >1 produces identical bytes, just faster")
 
     p = sub.add_parser("render", help="render ground-truth screen content")
     p.add_argument("--digit-grid", metavar="ROWSxCOLS")
@@ -429,6 +426,8 @@ def build_parser() -> _Parser:
     p.add_argument("--distance", type=float, default=1.0)
     p.add_argument("--id", help="session id (default derived from kind+seed)")
     p.add_argument("-o", "--output", help="dataset root (default $EMGLEAM_DATA_DIR)")
+    p.add_argument("--threads", type=int, default=1,
+                   help="screens simulated in parallel; any count writes the same bytes")
     common(p)
     p.set_defaults(func=_cmd_session)
 

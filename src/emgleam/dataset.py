@@ -317,18 +317,15 @@ def run_code_session(
 class SplitPlan:
     """How train/val/test material is partitioned.
 
-    "session" mode holds out whole sessions for testing; "fraction" mode
-    splits one item pool by the given fractions.
+    The test sessions are held out whole; the items of the train sessions
+    split into train/val/internal-test by the given fractions.
     """
 
-    mode: str
     fractions: tuple[float, float, float] = (0.8, 0.1, 0.1)
     train_sessions: tuple[str, ...] = ()
     test_sessions: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.mode not in ("fraction", "session"):
-            raise ValidationError(f"unknown split mode {self.mode!r}")
         if abs(sum(self.fractions) - 1.0) > 1e-9:
             raise ValidationError(f"fractions {self.fractions} must sum to 1")
         if set(self.train_sessions) & set(self.test_sessions):
@@ -346,7 +343,6 @@ class TrainingSet:
     def as_dict(self) -> dict:
         return {
             "name": self.name,
-            "mode": self.plan.mode,
             "fractions": list(self.plan.fractions),
             "train_sessions": list(self.plan.train_sessions),
             "test_sessions": list(self.plan.test_sessions),
@@ -361,8 +357,8 @@ class TrainingSet:
 
 def load_training_set(path) -> TrainingSet:
     d = load_json(path)
+    # older split files also carry a "mode" key (always "session"); it is ignored
     plan = SplitPlan(
-        mode=d["mode"],
         fractions=tuple(d["fractions"]),
         train_sessions=tuple(d["train_sessions"]),
         test_sessions=tuple(d["test_sessions"]),
@@ -404,7 +400,6 @@ def build_training_sets(
         n_train = int(len(paths) * fractions[0])
         n_val = int(len(paths) * fractions[1])
         plan = SplitPlan(
-            mode="session",
             fractions=fractions,
             train_sessions=tuple(s.id for s in chosen),
             test_sessions=tuple(s.id for s in test_sessions),

@@ -52,14 +52,6 @@ class PhoneProfile:
         return self.y_t
 
     @property
-    def pixel_clock_hz(self) -> float:
-        return self.x_t * self.y_t * self.f_r
-
-    @property
-    def carrier_hz(self) -> float:
-        return self.harmonic * self.pixel_clock_hz
-
-    @property
     def x_scale(self) -> Fraction:
         """Emage columns per screen pixel (horizontal resample ratio)."""
         return Fraction(self.recon_w, self.x_t)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from scipy import signal as sp_signal
 
 from emgleam.classifier import (
     CnnSpec,
+    _Conv,
+    _MaxPool2,
     TrainConfig,
     accuracy,
     grad_check,
@@ -123,6 +126,75 @@ class TestGradients:
         _, g_one, _ = model.loss_and_grads(x, y)
         _, g_dup, _ = model.loss_and_grads(np.concatenate([x, x]), np.array([2, 2]))
         assert np.max(np.abs(g_dup - g_one)) < 1e-9
+
+
+class TestLayers:
+    def test_pool_sends_gradient_to_first_maximum(self):
+        # 2x2 blocks: all zeros (as ReLU leaves them, with signed zeros),
+        # two equal maxima at (0, 1) and (1, 0), and one maximum at (1, 1)
+        x = np.array([[0.0, -0.0, 1.0, 3.0],
+                      [-0.0, 0.0, 3.0, 2.0],
+                      [0.5, 0.2, 4.0, 7.0],
+                      [0.1, 0.9, 7.0, 7.0]])[None, None]
+        pool = _MaxPool2()
+        assert np.array_equal(pool.forward(x)[0, 0], [[0.0, 3.0], [0.9, 7.0]])
+        g = -np.array([[1.0, 2.0], [3.0, 4.0]])[None, None]
+        gx = pool.backward(g)[0, 0]
+        expected = -np.array([[1.0, 0.0, 0.0, 2.0],
+                              [0.0, 0.0, 0.0, 0.0],
+                              [0.0, 0.0, 0.0, 4.0],
+                              [0.0, 3.0, 0.0, 0.0]])
+        assert np.array_equal(gx, expected)
+        # unrouted positions hold +0.0, not the -0.0 of g * mask
+        assert not np.signbit(gx[gx == 0]).any()
+
+    def test_pool_drops_odd_last_row_and_column(self):
+        # the digit spec's first pool: 27x17 -> 13x8
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((2, 3, 27, 17))
+        pool = _MaxPool2()
+        out = pool.forward(x)
+        blocks = x[:, :, :26, :16].reshape(2, 3, 13, 2, 8, 2)
+        assert np.array_equal(out, blocks.max(axis=(3, 5)))
+        g = rng.uniform(0.5, 1.5, out.shape)
+        gx = pool.backward(g)
+        assert gx.shape == x.shape
+        assert np.array_equal(gx[:, :, 26, :], np.zeros((2, 3, 17)))
+        assert np.array_equal(gx[:, :, :, 16], np.zeros((2, 3, 27)))
+        # every output gradient lands on exactly one input, at its maximum
+        assert np.count_nonzero(gx) == g.size
+        assert np.array_equal(np.sort(gx[gx != 0]), np.sort(g.ravel()))
+        assert np.array_equal(np.sort(x[gx != 0]), np.sort(out.ravel()))
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_conv_matches_per_channel_correlation(self, k):
+        rng = np.random.default_rng(k)
+        n, c, f, h, w = 3, 4, 5, 11, 9
+        conv = _Conv(c, f, k, np.float64)
+        conv.w[...] = rng.standard_normal(conv.w.shape)
+        conv.b[...] = rng.standard_normal(f)
+        x = rng.standard_normal((n, c, h, w))
+        g = rng.standard_normal((n, f, h - k + 1, w - k + 1))
+
+        out = conv.forward(x)
+        dx = conv.backward(g)
+        ref_out = np.stack([
+            [sum(sp_signal.correlate(x[i, ci], conv.w[fi, ci], mode="valid") for ci in range(c)) + conv.b[fi]
+             for fi in range(f)]
+            for i in range(n)
+        ])
+        ref_gw = np.stack([
+            [sum(sp_signal.correlate(x[i, ci], g[i, fi], mode="valid") for i in range(n)) for ci in range(c)]
+            for fi in range(f)
+        ])
+        ref_dx = np.stack([
+            [sum(sp_signal.convolve(g[i, fi], conv.w[fi, ci], mode="full") for fi in range(f)) for ci in range(c)]
+            for i in range(n)
+        ])
+        np.testing.assert_allclose(out, ref_out, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(conv.gw, ref_gw, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(conv.gb, g.sum(axis=(0, 2, 3)), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dx, ref_dx, rtol=0, atol=1e-12)
 
 
 class TestTrain:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from emgleam.cli import main
+from emgleam.cli import build_parser, main
 
 
 def run(args):
@@ -13,6 +13,12 @@ class TestBasics:
     def test_usage_error_exits_1(self, capsys):
         assert run(["render", "--no-such-flag"]) == 1
         assert run(["no-such-command"]) == 1
+
+    def test_threads_only_on_session(self, tmp_path, capsys):
+        # session is the one stage that simulates screens in parallel
+        assert run(["render", "--message", "123456", "--threads", "2", "-o", tmp_path / "m.pgm"]) == 1
+        assert not (tmp_path / "m.pgm").exists()
+        assert build_parser().parse_args(["session", "--profile", "galaxy_a3", "--threads", "2"]).threads == 2
 
     def test_help_exits_0(self):
         assert run(["--help"]) == 0

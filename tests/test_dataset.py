@@ -277,6 +277,15 @@ class TestTrainingSets:
         ts.save(path)
         again = load_training_set(path)
         assert again.as_dict() == ts.as_dict()
+        assert "mode" not in json.loads(path.read_text())
+
+    def test_split_file_with_mode_key_loads(self, tmp_path):
+        # split files written by earlier versions carry "mode": "session"
+        sessions = self.make_sessions(tmp_path)
+        (ts,) = build_training_sets(sessions, schedule=(3,), n_test=2, seed=5)
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"mode": "session", **ts.as_dict()}))
+        assert load_training_set(path).as_dict() == ts.as_dict()
 
     def test_load_items_reads_labels(self, tmp_path):
         sessions = self.make_sessions(tmp_path, 3)
@@ -302,12 +311,8 @@ class TestTrainingSets:
 class TestSplitPlan:
     def test_fractions_must_sum_to_one(self):
         with pytest.raises(ValidationError, match="sum to 1"):
-            SplitPlan(mode="fraction", fractions=(0.5, 0.2, 0.2))
+            SplitPlan(fractions=(0.5, 0.2, 0.2))
 
     def test_session_lists_must_be_disjoint(self):
         with pytest.raises(ValidationError, match="overlap"):
-            SplitPlan(mode="session", train_sessions=("a",), test_sessions=("a",))
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValidationError, match="unknown split mode"):
-            SplitPlan(mode="nope")
+            SplitPlan(train_sessions=("a",), test_sessions=("a",))

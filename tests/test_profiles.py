@@ -72,8 +72,10 @@ def test_capture_defaults():
 
 def test_carrier_sits_above_four_pixel_clocks():
     for p in PROFILES.values():
-        assert p.carrier_hz > 4 * p.pixel_clock_hz
-        assert p.carrier_hz == p.harmonic * p.pixel_clock_hz
+        timing = p.timing()
+        carrier = p.leakage().carrier_hz(timing)
+        assert carrier > 4 * timing.pixel_clock_hz
+        assert carrier == p.harmonic * timing.pixel_clock_hz
 
 
 def test_recon_height_equals_total_lines():
