@@ -18,7 +18,6 @@ from .classifier import (
     grad_check,
     init_model,
     load_model,
-    predict,
     save_model,
     train,
 )

@@ -29,6 +29,10 @@ from .util import dump_json
 
 _MAGIC = b"EMGL"
 _FORMAT_VERSION = 1
+# Adam's moment decay rates and denominator guard (Kingma & Ba defaults)
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -280,6 +284,7 @@ class CnnModel:
         return np.exp(log_softmax(self.forward(x)))
 
     def predict_batch(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Argmax classes and softmax rows; ties break toward the lower index."""
         probs = self.softmax(x)
         return probs.argmax(axis=1), probs
 
@@ -296,20 +301,11 @@ def init_model(spec: CnnSpec, seed: int = 0, dtype=np.float32) -> CnnModel:
     return model
 
 
-def predict(model: CnnModel, image: np.ndarray) -> tuple[int, np.ndarray]:
-    """Argmax class of a single image; ties break toward the lower index."""
-    labels, probs = model.predict_batch(np.asarray(image)[None])
-    return int(labels[0]), probs[0]
-
-
 @dataclass
 class TrainConfig:
     learning_rate: float = 0.001
     epochs: int = 100
     batch_size: int = 256
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -332,10 +328,6 @@ class TrainResult:
             "best_epoch": self.best_epoch,
             "best_val_accuracy": self.best_val_accuracy,
         })
-
-
-def accuracy(model: CnnModel, x: np.ndarray, y: np.ndarray, batch_size: int = 512) -> float:
-    return evaluate(model, x, y, batch_size)[1]
 
 
 def evaluate(model: CnnModel, x: np.ndarray, y: np.ndarray, batch_size: int = 512) -> tuple[float, float]:
@@ -391,11 +383,11 @@ def train(model: CnnModel, train_set, val_set, config: TrainConfig) -> TrainResu
             hits += int((logits.argmax(axis=1) == y_train[batch]).sum())
             t += 1
             g = grads.astype(np.float64)
-            m = config.beta1 * m + (1 - config.beta1) * g
-            v = config.beta2 * v + (1 - config.beta2) * g * g
-            m_hat = m / (1 - config.beta1**t)
-            v_hat = v / (1 - config.beta2**t)
-            params -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
+            m = _BETA1 * m + (1 - _BETA1) * g
+            v = _BETA2 * v + (1 - _BETA2) * g * g
+            m_hat = m / (1 - _BETA1**t)
+            v_hat = v / (1 - _BETA2**t)
+            params -= config.learning_rate * m_hat / (np.sqrt(v_hat) + _EPS)
             model.set_flat_params(params)
         val_loss, val_acc = evaluate(model, x_val, y_val)
         history.append({

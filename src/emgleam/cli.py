@@ -153,7 +153,7 @@ def _cmd_reconstruct(args) -> int:
         width = args.width or recording.timing.x_t
         height = args.height or recording.timing.y_t
     f_r = args.frame_rate or recording.timing.f_r
-    params = ReconParams(width, height, f_r, lowpass_cutoff=args.lowpass)
+    params = ReconParams(width, height, f_r)
     emage = reconstruct(recording, params)
     emage.save(args.output)
     _echo_config(args.output, "reconstruct", args, {"params": params.as_dict()})
@@ -219,6 +219,7 @@ def _cmd_session(args) -> int:
 
 def _cmd_crop(args) -> int:
     from .dataset import grid_crop
+    from .pgmio import write_pgm
     from .receiver import Emage
 
     emage = Emage.load(args.emage)
@@ -228,7 +229,7 @@ def _cmd_crop(args) -> int:
     index = []
     for i, crop in enumerate(crops):
         rel = f"crop_{i:06d}.pgm"
-        crop.save(outdir / rel)
+        write_pgm(outdir / rel, crop.pixels)
         index.append(rel)
     dump_json(outdir / "index.json", index)
     _echo_config(outdir / "index.json", "crop", args)
@@ -400,7 +401,6 @@ def build_parser() -> _Parser:
     p.add_argument("--width", type=int)
     p.add_argument("--height", type=int)
     p.add_argument("--frame-rate", type=float)
-    p.add_argument("--lowpass", type=float, default=1.0)
     p.add_argument("-o", "--output", required=True)
     common(p)
     p.set_defaults(func=_cmd_reconstruct)

@@ -28,7 +28,7 @@ import numpy as np
 from .emanator import ChannelModel, emanate
 from .emanator import capture as capture_iq
 from .errors import ValidationError
-from .pgmio import read_pgm
+from .pgmio import read_pgm, write_pgm
 from .profiles import PhoneProfile
 from .raster import ScreenRaster, blank_screen, paste, render_digit_grid, render_security_message
 from .receiver import Emage, reconstruct
@@ -196,10 +196,10 @@ def _save_session(root, session_id: str, profile: PhoneProfile, kind: str, seed:
     ranges: list[float] = []
     for crop, label, rect, screen in labeled:
         rel = f"items/item_{len(items):06d}.pgm"
-        crop.save(directory / rel)
+        write_pgm(directory / rel, crop.pixels)
         items.append(SessionItem(path=rel, label=label, crop=rect, screen=screen))
         ranges.append(float(crop.pixels.max() - crop.pixels.min()))
-    mean_range = float(np.mean(ranges)) if ranges else 0.0
+    mean_range = float(np.mean(ranges))
     session = Session(
         id=session_id, profile=profile.name, kind=kind, seed=seed, directory=directory, items=items,
         quality={"mean_dynamic_range": mean_range,
@@ -242,6 +242,10 @@ def run_session(
     across the whole session), goes through ``simulate`` at the profile
     defaults, and is cropped into rows x cols labeled items.
     """
+    if min(rows, cols, screens) < 1:
+        raise ValidationError(
+            f"grid session needs rows, cols and screens >= 1, got {rows}, {cols}, {screens}"
+        )
     hardware = _profile_hardware(profile, 1 if frames is None else frames, target_snr_db, distance_r)
     cell_w, cell_h = profile.grid_cell(rows, cols)
     if cell_w < 1 or cell_h < 1:
@@ -288,6 +292,8 @@ def run_code_session(
     and averaged at reconstruction, and the code region is saved as one
     labeled item (six digits wide, e.g. 126 x 31 on the default profile).
     """
+    if n_codes < 1:
+        raise ValidationError(f"code session needs n_codes >= 1, got {n_codes}")
     hardware = _profile_hardware(profile, 2 if frames is None else frames, target_snr_db, distance_r)
     digit_w = profile.grid_content_w // 40
     digit_h = profile.grid_content_h // 40
@@ -399,6 +405,11 @@ def build_training_sets(
         order = rng.permutation(len(paths))
         n_train = int(len(paths) * fractions[0])
         n_val = int(len(paths) * fractions[1])
+        if n_train < 1 or n_val < 1:
+            raise ValidationError(
+                f"training{i + 1}: {len(paths)} items split by {fractions} leave "
+                f"{n_train} train / {n_val} val; both need at least one"
+            )
         plan = SplitPlan(
             fractions=fractions,
             train_sessions=tuple(s.id for s in chosen),
@@ -420,6 +431,8 @@ def load_items(root, paths: list[str], label_of=None) -> tuple[np.ndarray, np.nd
     ``label_of`` maps the manifest label string to a class index; the
     default works for single digits.
     """
+    if not paths:
+        raise ValidationError("no item paths to load")
     root = Path(root)
     if label_of is None:
         label_of = int

@@ -156,44 +156,14 @@ _LETTER_ROWS = {
 }
 
 CHART_LETTERS = "CDEFLNOPTZ"
-DIGITS = "0123456789"
 
 
 def _rows_to_bitmap(rows) -> np.ndarray:
     return np.array([[c in "1X" for c in row] for row in rows], dtype=bool)
 
 
-class GlyphSet:
-    """A named alphabet of monochrome bitmaps with a common native height."""
-
-    def __init__(self, glyphs: dict[str, np.ndarray], native_height_px: int):
-        if not glyphs:
-            raise ValidationError("glyph set must not be empty")
-        for sym, bm in glyphs.items():
-            if bm.size == 0:
-                raise ValidationError(f"glyph {sym!r} is empty")
-            if bm.shape[0] != native_height_px:
-                raise ValidationError(f"glyph {sym!r} height {bm.shape[0]} != {native_height_px}")
-        self.glyphs = glyphs
-        self.native_height_px = native_height_px
-
-    def __contains__(self, symbol: str) -> bool:
-        return symbol in self.glyphs
-
-    def symbols(self) -> str:
-        return "".join(sorted(self.glyphs))
-
-    def bitmap(self, symbol: str) -> np.ndarray:
-        try:
-            return self.glyphs[symbol]
-        except KeyError:
-            raise ValidationError(
-                f"unknown symbol {symbol!r}; available: {self.symbols()}"
-            ) from None
-
-
-DIGIT_GLYPHS = GlyphSet({d: _rows_to_bitmap(r) for d, r in _DIGIT_ROWS.items()}, 7)
-LETTER_GLYPHS = GlyphSet({c: _rows_to_bitmap(r) for c, r in _LETTER_ROWS.items()}, 10)
+DIGIT_GLYPHS = {d: _rows_to_bitmap(r) for d, r in _DIGIT_ROWS.items()}
+LETTER_GLYPHS = {c: _rows_to_bitmap(r) for c, r in _LETTER_ROWS.items()}
 
 
 def scale_bitmap(bitmap: np.ndarray, width: int, height: int) -> np.ndarray:

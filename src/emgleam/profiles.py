@@ -38,8 +38,6 @@ class PhoneProfile:
     f_r: float
     default_snr_db: float
     measured_center_hz: float  # nominal observed leak center, metadata only
-    crop_h: int | None  # classifier input crop (rows) at the 40x40 grid
-    crop_w: int | None
     recon_w: int
     grid_content_w: int  # screen area tiled by the default 40x40 grid
     grid_content_h: int
@@ -95,36 +93,31 @@ PROFILES: dict[str, PhoneProfile] = {
             name="iphone6s",
             visible_w=750, visible_h=1334, x_t=828, y_t=1415, f_r=60.0,
             default_snr_db=33.4, measured_center_hz=295e6,
-            crop_h=31, crop_w=21, recon_w=966,
-            grid_content_w=720, grid_content_h=1240,
+            recon_w=966, grid_content_w=720, grid_content_h=1240,
         ),
         PhoneProfile(
             name="iphone6a",
             visible_w=750, visible_h=1334, x_t=828, y_t=1415, f_r=60.0,
             default_snr_db=25.0, measured_center_hz=105e6,
-            crop_h=31, crop_w=20, recon_w=920,
-            grid_content_w=720, grid_content_h=1240,
+            recon_w=920, grid_content_w=720, grid_content_h=1240,
         ),
         PhoneProfile(
             name="iphone6b",
             visible_w=750, visible_h=1334, x_t=828, y_t=1415, f_r=60.0,
             default_snr_db=26.8, measured_center_hz=105e6,
-            crop_h=31, crop_w=20, recon_w=920,
-            grid_content_w=720, grid_content_h=1240,
+            recon_w=920, grid_content_w=720, grid_content_h=1240,
         ),
         PhoneProfile(
             name="honor6x",
             visible_w=1080, visible_h=1920, x_t=1188, y_t=2036, f_r=60.0,
             default_snr_db=36.6, measured_center_hz=465e6,
-            crop_h=45, crop_w=21, recon_w=924,
-            grid_content_w=1080, grid_content_h=1800,
+            recon_w=924, grid_content_w=1080, grid_content_h=1800,
         ),
         PhoneProfile(
             name="galaxy_a3",
             visible_w=540, visible_h=960, x_t=594, y_t=1018, f_r=60.0,
             default_snr_db=25.9, measured_center_hz=295e6,
-            crop_h=None, crop_w=None, recon_w=594,
-            grid_content_w=520, grid_content_h=960,
+            recon_w=594, grid_content_w=520, grid_content_h=960,
         ),
     ]
 }

@@ -100,9 +100,9 @@ class ScreenRaster:
 
 def _glyph_for(symbol: str) -> np.ndarray:
     if symbol in DIGIT_GLYPHS:
-        return DIGIT_GLYPHS.bitmap(symbol)
+        return DIGIT_GLYPHS[symbol]
     if symbol in LETTER_GLYPHS:
-        return LETTER_GLYPHS.bitmap(symbol)
+        return LETTER_GLYPHS[symbol]
     raise ValidationError(f"unknown symbol {symbol!r}")
 
 
@@ -243,7 +243,7 @@ def render_eyechart(
     contrast: float = 1.0,
 ) -> ScreenRaster:
     """One centered acuity-chart letter at the given chart scale."""
-    if letter not in CHART_LETTERS:
+    if letter not in LETTER_GLYPHS:
         raise ValidationError(f"unknown chart letter {letter!r}; expected one of {CHART_LETTERS}")
     if not any(float(scale) == float(s) for s in CHART_SCALES):
         raise ValidationError(f"unknown chart scale {scale!r}; expected one of {CHART_SCALES}")
@@ -253,7 +253,7 @@ def render_eyechart(
         raise ValidationError(f"scale {scale} yields an empty letter on a {screen_w}px-wide screen")
     if w > screen_w or w > screen_h:
         raise ValidationError(f"letter {letter} at scale {scale} does not fit {screen_w}x{screen_h}")
-    ink = scale_bitmap(LETTER_GLYPHS.bitmap(letter), w, w)
+    ink = scale_bitmap(LETTER_GLYPHS[letter], w, w)
     x0 = (screen_w - w) // 2
     y0 = (screen_h - w) // 2
     lum = np.ones((screen_h, screen_w), dtype=np.float32)

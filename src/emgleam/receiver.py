@@ -37,7 +37,7 @@ _EDGE_Z = 5.0
 
 @dataclass(frozen=True)
 class ReconParams:
-    """Reconstruction grid and tuning knobs.
+    """Reconstruction grid and frame rate.
 
     height_px should equal the source timing's total line count for an
     unsheared image (each reconstructed row then spans exactly one line).
@@ -46,22 +46,18 @@ class ReconParams:
     width_px: int
     height_px: int
     f_r_hz: float
-    lowpass_cutoff: float = 1.0  # fraction of Nyquist; >= 1 disables
 
     def __post_init__(self):
         if self.width_px <= 0 or self.height_px <= 0:
             raise ValidationError("reconstruction grid must be positive")
         if not self.f_r_hz > 0:
             raise ValidationError("frame rate must be positive")
-        if not self.lowpass_cutoff > 0:
-            raise ValidationError("lowpass_cutoff must be positive")
 
     def as_dict(self) -> dict:
         return {
             "width_px": self.width_px,
             "height_px": self.height_px,
             "f_r_hz": self.f_r_hz,
-            "lowpass_cutoff": self.lowpass_cutoff,
         }
 
 
@@ -88,7 +84,7 @@ class Emage:
     def crop(self, x: int, y: int, w: int, h: int) -> "Emage":
         if x < 0 or y < 0 or x + w > self.width_px or y + h > self.height_px:
             raise ValidationError(f"crop ({x},{y},{w},{h}) escapes {self.width_px}x{self.height_px}")
-        return Emage(w, h, self.pixels[y : y + h, x : x + w], self.frames_averaged, self.source_meta)
+        return Emage(w, h, self.pixels[y : y + h, x : x + w], self.frames_averaged)
 
     def save(self, path) -> None:
         write_pgm(path, self.pixels)
@@ -107,18 +103,11 @@ class Emage:
         return cls(w, h, px, frames, meta)
 
 
-def am_demod(recording: IqRecording, lowpass_cutoff: float = 1.0) -> np.ndarray:
-    """Envelope of the complex baseband: sqrt(I^2 + Q^2), optional one-pole LP."""
+def am_demod(recording: IqRecording) -> np.ndarray:
+    """Envelope of the complex baseband: sqrt(I^2 + Q^2)."""
     if len(recording.samples) == 0:
         raise ValidationError("empty recording")
-    iq = np.asarray(recording.samples, dtype=np.complex128)
-    mag = np.abs(iq)
-    if lowpass_cutoff < 1.0:
-        alpha = float(np.exp(-np.pi * lowpass_cutoff))
-        from scipy.signal import lfilter
-
-        mag = lfilter([1.0 - alpha], [1.0, -alpha], mag)
-    return mag
+    return np.abs(np.asarray(recording.samples, dtype=np.complex128))
 
 
 def estimate_frame_rate(
@@ -247,7 +236,7 @@ def reconstruct(recording: IqRecording, params: ReconParams) -> Emage:
             raise ValidationError(
                 f"params f_r {params.f_r_hz} deviates more than 5% from recorded {sidecar_fr}"
             )
-    mag = am_demod(recording, params.lowpass_cutoff)
+    mag = am_demod(recording)
     fs = recording.sample_rate_hz
     frame_len = fs / params.f_r_hz
     # grid positions stay strictly inside each frame, so a frame missing its

@@ -39,7 +39,6 @@ LETTER_FC_SIZES = (240, 120)
 @dataclass(frozen=True)
 class MessageDim:
     letters: str = CHART_LETTERS
-    priors: str = "uniform"
 
     def __post_init__(self):
         if not self.letters:
@@ -47,15 +46,12 @@ class MessageDim:
         bad = [c for c in self.letters if c not in CHART_LETTERS]
         if bad:
             raise ValidationError(f"message dimension: letters {bad} outside {CHART_LETTERS}")
-        if self.priors != "uniform":
-            raise ValidationError("message dimension: only uniform priors are supported")
 
 
 @dataclass(frozen=True)
 class AppearanceDim:
     scales: tuple = CHART_SCALES
     contrast: float = 1.0
-    background: str = "white"
 
     def __post_init__(self):
         if not self.scales:
@@ -65,8 +61,6 @@ class AppearanceDim:
                 raise ValidationError(f"appearance dimension: unknown scale {s}")
         if not 0.0 < self.contrast <= 1.0:
             raise ValidationError("appearance dimension: contrast must be in (0, 1]")
-        if self.background not in ("white", "plain"):
-            raise ValidationError("appearance dimension: only a plain white background is supported")
 
 
 @dataclass(frozen=True)
@@ -126,8 +120,7 @@ def make_panel_profile(visible_w: int, visible_h: int, f_r: float = 60.0) -> Pho
     return PhoneProfile(
         name="custom",
         visible_w=visible_w, visible_h=visible_h, x_t=timing.x_t, y_t=timing.y_t, f_r=f_r,
-        default_snr_db=25.0, measured_center_hz=0.0,
-        crop_h=None, crop_w=None, recon_w=timing.x_t,
+        default_snr_db=25.0, measured_center_hz=0.0, recon_w=timing.x_t,
         grid_content_w=(visible_w // 40) * 40, grid_content_h=(visible_h // 40) * 40,
     )
 
@@ -151,16 +144,15 @@ def parse_spec_file(path) -> AttackerModelSpec:
     msg = cp["message"]
     message = MessageDim(
         letters="".join(s.strip().upper() for s in msg.get("letters", CHART_LETTERS).split(",") if s.strip()),
-        priors=msg.get("priors", "uniform").strip(),
     )
+    if msg.get("priors", "uniform").strip() != "uniform":
+        raise ValidationError("message dimension: only uniform priors are supported")
 
     app = cp["message_appearance"]
     scales = tuple(float(s) for s in app.get("scales", "").split(",") if s.strip()) or CHART_SCALES
-    appearance = AppearanceDim(
-        scales=scales,
-        contrast=float(app.get("contrast", "1.0")),
-        background=app.get("background", "white").strip(),
-    )
+    appearance = AppearanceDim(scales=scales, contrast=float(app.get("contrast", "1.0")))
+    if app.get("background", "white").strip() not in ("white", "plain"):
+        raise ValidationError("appearance dimension: only a plain white background is supported")
 
     hw = cp["attack_hardware"]
     profile_name = hw.get("profile", "").strip()

@@ -7,11 +7,10 @@ from emgleam.classifier import (
     _Conv,
     _MaxPool2,
     TrainConfig,
-    accuracy,
+    evaluate,
     grad_check,
     init_model,
     load_model,
-    predict,
     save_model,
     train,
 )
@@ -262,14 +261,14 @@ class TestPredict:
     def test_tie_breaks_to_lowest_class(self):
         model = init_model(SMALL, seed=0)
         model.set_flat_params(np.zeros(model.n_params))
-        label, probs = predict(model, np.zeros((20, 16)))
-        assert label == 0
-        assert probs.sum() == pytest.approx(1.0, abs=1e-6)
+        labels, probs = model.predict_batch(np.zeros((3, 20, 16)))
+        assert list(labels) == [0, 0, 0]
+        assert probs.sum(axis=1) == pytest.approx(np.ones(3), abs=1e-6)
 
     def test_constant_logit_shift_keeps_argmax(self):
         model = init_model(SMALL, seed=6)
         x = np.random.default_rng(9).random((20, 16))
-        label, _ = predict(model, x)
+        (label,), _ = model.predict_batch(x[None])
         logits = model.forward(x[None])
         assert int(np.argmax(logits + 3.7)) == label
 
@@ -305,5 +304,5 @@ class TestSerialization:
         model = init_model(SMALL, seed=0)
         model.set_flat_params(np.zeros(model.n_params))
         x = np.zeros((10, 20, 16), dtype=np.float32)
-        assert accuracy(model, x, np.zeros(10, dtype=int)) == 1.0  # all tie-break to 0
-        assert accuracy(model, x, np.ones(10, dtype=int)) == 0.0
+        assert evaluate(model, x, np.zeros(10, dtype=int))[1] == 1.0  # all tie-break to 0
+        assert evaluate(model, x, np.ones(10, dtype=int))[1] == 0.0

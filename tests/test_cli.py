@@ -133,6 +133,8 @@ class TestPipeline:
         index = json.loads((outdir / "index.json").read_text())
         assert len(index) == 16
         assert (outdir / index[0]).exists()
+        assert sorted(p.name for p in outdir.iterdir()) == sorted(index + ["index.json",
+                                                                      "index.json.config.json"])
 
 
 class TestGradcheckCommand:
@@ -207,6 +209,34 @@ class TestDatasetCommands:
     def test_non_numeric_session_snr_is_validation_error(self, tmp_path, capsys):
         assert run(["session", "--profile", "galaxy_a3", "--snr", "abc", "-o", tmp_path]) == 2
         assert "error: --snr expects a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--rows", 0], ["--cols", 0], ["--screens", 0],
+                                       ["--kind", "code", "--codes", 0]])
+    def test_zero_sized_session_is_validation_error(self, tmp_path, capsys, flags):
+        assert run(["session", "--profile", "galaxy_a3", *flags, "-o", tmp_path]) == 2
+        assert ">= 1" in capsys.readouterr().err
+        assert not (tmp_path / "sessions").exists()
+
+    def test_empty_validation_split_is_validation_error(self, tmp_path, capsys):
+        root = tmp_path / "data"
+        for i in range(3):
+            assert run(["session", "--profile", "galaxy_a3", "--rows", 2, "--cols", 2,
+                        "--screens", 1, "--id", f"g{i}", "--seed", i, "-o", root]) == 0
+        assert run(["split", "--dataset", root, "--schedule", 1, "--test-sessions", 1]) == 2
+        assert "training1" in capsys.readouterr().err
+        assert not (root / "splits").exists()
+        # a split file with no val items (hand-written or from an older
+        # version) stops train at load_items instead of a numpy error
+        items = [f"sessions/g0/items/item_{j:06d}.pgm" for j in range(4)]
+        split_file = tmp_path / "empty_val.json"
+        split_file.write_text(json.dumps({
+            "name": "training1", "fractions": [0.8, 0.1, 0.1], "train_sessions": ["g0"],
+            "test_sessions": ["g2"], "train": items[:3], "val": [], "test_internal": items[3:],
+        }))
+        assert run(["train", "--dataset", root, "--split", split_file, "--epochs", 1,
+                    "-o", tmp_path / "m.bin"]) == 2
+        assert "no item paths" in capsys.readouterr().err
+        assert not (tmp_path / "m.bin").exists()
 
     def test_missing_data_dir_is_validation_error(self, monkeypatch):
         monkeypatch.delenv("EMGLEAM_DATA_DIR", raising=False)

@@ -9,6 +9,7 @@ import pytest
 from emgleam.dataset import (
     HardwareDim,
     Session,
+    SessionItem,
     SplitPlan,
     build_training_sets,
     grid_crop,
@@ -37,10 +38,13 @@ def synthetic_emage(w=84, h=62, seed=0):
     return Emage(w, h, rng.random((h, w)).astype(np.float32), 1, {})
 
 
-def fake_session(sid: str, flagged=False) -> Session:
+def fake_session(sid: str, flagged=False, n_items=10) -> Session:
+    # ten items by default: an 80/10/10 split then leaves train and val non-empty
+    items = [SessionItem(f"items/item_{j:06d}.pgm", str(j % 10), (0, 0, 21, 31), 0)
+             for j in range(n_items)]
     return Session(
         id=sid, profile="iphone6s", kind="grid", seed=0, directory=Path("/nonexistent"),
-        items=[], quality={"mean_dynamic_range": 0.5, "flagged": flagged},
+        items=items, quality={"mean_dynamic_range": 0.5, "flagged": flagged},
     )
 
 
@@ -106,6 +110,11 @@ class TestGridSession:
         assert set(counts) == set("0123456789")
         assert max(counts.values()) - min(counts.values()) <= 1
 
+    def test_items_have_no_sidecars(self, small_grid_session):
+        _, session = small_grid_session
+        assert len(list(session.directory.rglob("*.pgm"))) == len(session.items)
+        assert not list(session.directory.rglob("*.pgm.json"))
+
     def test_manifest_round_trip(self, small_grid_session):
         root, session = small_grid_session
         loaded = load_session(session.directory)
@@ -161,6 +170,21 @@ def test_bad_frame_count_is_validation_error(tmp_path, kind, frames):
     assert not (tmp_path / "sessions").exists()
 
 
+@pytest.mark.parametrize("size", [dict(rows=0), dict(cols=0), dict(screens=0), dict(rows=-1)])
+def test_zero_sized_grid_session_is_validation_error(tmp_path, size):
+    shape = {"rows": 4, "cols": 4, "screens": 1, **size}
+    with pytest.raises(ValidationError, match="rows, cols and screens >= 1"):
+        run_session(get_profile("galaxy_a3"), tmp_path, **shape)
+    assert not (tmp_path / "sessions").exists()
+
+
+@pytest.mark.parametrize("n_codes", [0, -1])
+def test_zero_sized_code_session_is_validation_error(tmp_path, n_codes):
+    with pytest.raises(ValidationError, match="n_codes >= 1"):
+        run_code_session(get_profile("galaxy_a3"), tmp_path, n_codes=n_codes)
+    assert not (tmp_path / "sessions").exists()
+
+
 @pytest.mark.parametrize("snr", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_snr_is_validation_error(snr):
     profile = get_profile("galaxy_a3")
@@ -186,8 +210,8 @@ class TestCodeSession:
         for item in session.items:
             assert len(item.label) == 6 and item.label.isdigit()
             assert (item.crop[2], item.crop[3]) == (126, 31)
-            emage = Emage.load(session.item_path(item))
-            assert emage.frames_averaged == 2
+        assert session.params["frames"] == 2
+        assert not list(session.directory.rglob("*.pgm.json"))
 
 
 class TestQualityGate:
@@ -264,6 +288,16 @@ class TestTrainingSets:
         sets = build_training_sets(sessions, schedule=(1,), n_test=2)
         assert len(sets) == 1
         assert sets[0].plan.train_sessions == ("s0",)
+
+    def test_empty_validation_part_rejected(self):
+        # 4 items split 80/10/10 leave 3 train / 0 val / 1 internal-test
+        sessions = [fake_session(f"s{i}", n_items=4) for i in range(3)]
+        with pytest.raises(ValidationError, match="training1: 4 items .* 3 train / 0 val"):
+            build_training_sets(sessions, schedule=(1,), n_test=1)
+
+    def test_load_items_needs_paths(self, tmp_path):
+        with pytest.raises(ValidationError, match="no item paths"):
+            load_items(tmp_path, [])
 
     def test_insufficient_sessions_rejected(self, tmp_path):
         sessions = self.make_sessions(tmp_path, 5)

@@ -31,19 +31,20 @@ def test_iphone6s_screen_dimensions():
     ("iphone6a", (31, 20)),
     ("iphone6b", (31, 20)),
     ("honor6x", (45, 21)),
-    ("galaxy_a3", (None, None)),
+    ("galaxy_a3", (24, 13)),
 ])
 def test_classifier_crop_sizes(name, crop):
-    p = get_profile(name)
-    assert (p.crop_h, p.crop_w) == crop
+    cw, ch = get_profile(name).crop_cell(40, 40)
+    assert (ch, cw) == crop
 
 
 def test_default_grid_reproduces_pinned_crops():
-    # the 40x40 profiling grid must land exactly on the pinned crop sizes
-    for name in ("iphone6s", "iphone6a", "iphone6b", "honor6x"):
+    # the 40x40 profiling grid must land exactly on whole emage columns
+    for name in ("iphone6s", "iphone6a", "iphone6b", "honor6x", "galaxy_a3"):
         p = get_profile(name)
-        cw, ch = p.crop_cell(40, 40)
-        assert (ch, cw) == (p.crop_h, p.crop_w), name
+        cw, _ = p.grid_cell(40, 40)
+        assert (cw * p.x_scale).denominator == 1, name
+        assert p.crop_cell(40, 40)[0] == cw * p.x_scale, name
 
 
 def test_horizontal_scales_are_exact_small_rationals():

@@ -230,9 +230,9 @@ class TestPgmSerialization:
 
 
 def test_glyph_sets_cover_their_alphabets():
-    assert set(DIGIT_GLYPHS.glyphs) == set("0123456789")
-    assert set(LETTER_GLYPHS.glyphs) == set("CDEFLNOPTZ")
-    for bm in DIGIT_GLYPHS.glyphs.values():
+    assert set(DIGIT_GLYPHS) == set("0123456789")
+    assert set(LETTER_GLYPHS) == set("CDEFLNOPTZ")
+    for bm in DIGIT_GLYPHS.values():
         assert bm.shape[0] == 7 and bm.any()
-    for bm in LETTER_GLYPHS.glyphs.values():
+    for bm in LETTER_GLYPHS.values():
         assert bm.shape == (10, 10) and bm.any()

@@ -74,13 +74,6 @@ class TestAmDemod:
         with pytest.raises(ValidationError, match="empty"):
             am_demod(fake_recording(np.zeros(0)))
 
-    def test_lowpass_smooths(self):
-        rng = np.random.default_rng(0)
-        noisy = rng.standard_normal(8192) + 1j * rng.standard_normal(8192)
-        raw = am_demod(fake_recording(noisy))
-        smooth = am_demod(fake_recording(noisy), lowpass_cutoff=0.05)
-        assert smooth.std() < 0.5 * raw.std()
-
 
 class TestEstimateFrameRate:
     def test_noiseless_precision(self):

@@ -68,8 +68,17 @@ def test_calibration_saturates_at_its_limits():
 
 
 def test_import_needs_no_scipy_signal_or_stats():
-    code = ("import sys, emgleam; "
-            "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))")
+    # importing the package, one panel simulate and one SNR measurement
+    code = """
+import sys, emgleam
+panel = emgleam.make_panel_profile(128, 192)
+screen = emgleam.render_eyechart("E", 10, 128, 192)
+emgleam.simulate(screen, emgleam.HardwareDim(panel, 5e6, 2.5e6, 20.0), 0)
+leak = emgleam.emanate(screen, panel.timing(), panel.leakage())
+emgleam.measure_snr(emgleam.capture(leak, emgleam.ChannelModel(target_snr_db=20.0), 5e6,
+                                    bandwidth_hz=2.5e6))
+print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))
+"""
     src = str(Path(emgleam.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})

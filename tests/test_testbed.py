@@ -125,6 +125,18 @@ class TestSpecFile:
         with pytest.raises(ValidationError, match="cannot read"):
             parse_spec_file(tmp_path / "absent.ini")
 
+    @pytest.mark.parametrize("line, replacement, message", [
+        ("priors = uniform", "priors = zipf", "message dimension: only uniform priors are supported"),
+        ("background = white", "background = black",
+         "appearance dimension: only a plain white background is supported"),
+    ])
+    def test_unsupported_priors_or_background_rejected(self, tmp_path, line, replacement, message):
+        path = tmp_path / "unsupported.ini"
+        path.write_text(SPEC_TEXT.replace(line, replacement))
+        with pytest.raises(ValidationError) as info:
+            parse_spec_file(path)
+        assert str(info.value) == message
+
 
 class TestRunTestbed:
     def test_report_covers_every_cell_and_is_deterministic(self):
