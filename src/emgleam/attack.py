@@ -5,7 +5,7 @@ equal-width crops and classifying each, aggregates per-digit and per-code
 metrics (exact, at-least-5, at-least-4 correct), and scans full-screen
 emages with a sliding window whose per-position score is the classifier's
 confidence (one minus normalized softmax entropy averaged over the six
-digit sub-crops).
+digit blocks it covers).
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .classifier import CnnModel
 from .errors import ValidationError
@@ -40,17 +41,12 @@ def _fit_to_input(crop: np.ndarray, hw: tuple[int, int]) -> np.ndarray:
     return out
 
 
-def _digit_columns(width: int) -> list[tuple[int, int]]:
-    """(start, width) of six equal-width crops, remainder columns in the last."""
-    base = width // 6
-    if base < 1:
-        raise ValidationError(f"region width {width} cannot hold six digits")
-    return [(i * base, base) for i in range(5)] + [(5 * base, width - 5 * base)]
-
-
 def split_code_region(pixels: np.ndarray) -> list[np.ndarray]:
     """Six equal-width crops, remainder columns appended to the last one."""
-    return [pixels[:, x : x + w] for x, w in _digit_columns(pixels.shape[1])]
+    base = pixels.shape[1] // 6
+    if base < 1:
+        raise ValidationError(f"region width {pixels.shape[1]} cannot hold six digits")
+    return [pixels[:, i * base : (i + 1) * base] for i in range(5)] + [pixels[:, 5 * base :]]
 
 
 def read_code(
@@ -126,30 +122,20 @@ def score(items: list[CodeResult]) -> AttackReport:
     """
     if not items:
         raise ValidationError("no items to score")
-    digit_flags = []
-    class_hits: dict[str, list[int]] = {str(d): [] for d in range(10)}
-    n_exact = n_ge5 = n_ge4 = 0
+    class_hits: dict[str, list[bool]] = {str(d): [] for d in range(10)}
     for it in items:
-        flags = it.digit_correct
-        digit_flags.extend(flags)
-        for true_d, ok in zip(it.true_code, flags):
-            class_hits[true_d].append(int(ok))
-        if it.n_correct == len(it.true_code):
-            n_exact += 1
-        if it.n_correct >= 5:
-            n_ge5 += 1
-        if it.n_correct >= 4:
-            n_ge4 += 1
-    n = len(items)
+        for true_d, ok in zip(it.true_code, it.digit_correct):
+            class_hits[true_d].append(ok)
+    n_correct = np.array([it.n_correct for it in items])
     return AttackReport(
         items=items,
-        per_digit_accuracy=float(np.mean(digit_flags)),
+        per_digit_accuracy=float(np.mean([ok for it in items for ok in it.digit_correct])),
         per_class_accuracy={
             d: (float(np.mean(hits)) if hits else float("nan")) for d, hits in class_hits.items()
         },
-        exact_accuracy=n_exact / n,
-        at_least_5_accuracy=n_ge5 / n,
-        at_least_4_accuracy=n_ge4 / n,
+        exact_accuracy=float(np.mean([it.n_correct == len(it.true_code) for it in items])),
+        at_least_5_accuracy=float(np.mean(n_correct >= 5)),
+        at_least_4_accuracy=float(np.mean(n_correct >= 4)),
     )
 
 
@@ -176,51 +162,26 @@ class ActivationMap:
             write_pgm(pgm_path, heat)
 
 
-def sliding_map(
-    emage: Emage,
-    model: CnnModel,
-    window: tuple[int, int] | None = None,
-    strides: tuple[int, int] | None = None,
-) -> ActivationMap:
+def sliding_map(emage: Emage, model: CnnModel) -> ActivationMap:
     """Code-likeness score at every window position.
 
-    The window defaults to six digit widths by one digit height (the
-    classifier input), strides to one digit width horizontally and one
-    digit height vertically.  Score = 1 - mean(softmax entropy of the six
-    sub-crops) / ln(n_classes); confident digit-like content scores high.
-
-    Windows of one row share sub-crops: with the default geometry sub-crop
-    i of window column c is sub-crop 0 of column c + i.  Each distinct
-    (row, start column, width) cell is therefore classified once and the
-    six entropies of every window are gathered from those.
+    The window is six digit widths by one digit height (the classifier
+    input), stepped by one digit width horizontally and one digit height
+    vertically, so every window is six adjacent blocks of the emage's
+    digit-block tiling.  Each block is classified once; a window scores
+    1 - mean(softmax entropy of its six blocks) / ln(n_classes), so
+    confident digit-like content scores high.
     """
     in_h, in_w = model.spec.input_hw
-    if window is None:
-        window = (6 * in_w, in_h)
-    if strides is None:
-        strides = (in_w, in_h)
-    win_w, win_h = window
-    sx, sy = strides
-    if win_w > emage.width_px or win_h > emage.height_px:
+    window, strides = (6 * in_w, in_h), (in_w, in_h)
+    if window[0] > emage.width_px or window[1] > emage.height_px:
         raise ValidationError(
-            f"window {win_w}x{win_h} larger than emage {emage.width_px}x{emage.height_px}"
+            f"window {window[0]}x{window[1]} larger than emage {emage.width_px}x{emage.height_px}"
         )
-    n_cols = (emage.width_px - win_w) // sx + 1
-    n_rows = (emage.height_px - win_h) // sy + 1
-
-    pieces = [(c * sx + x, w) for c in range(n_cols) for x, w in _digit_columns(win_w)]
-    cells, which = np.unique(np.array(pieces), axis=0, return_inverse=True)
-    batch = np.stack([
-        _fit_to_input(emage.pixels[r * sy : r * sy + win_h, x : x + w], (in_h, in_w))
-        for r in range(n_rows)
-        for x, w in cells
-    ])
-    entropy = np.empty(len(batch))
-    for i in range(0, len(batch), 1024):  # bound the conv workspace
-        probs = model.softmax(batch[i : i + 1024])
-        ent = -np.sum(probs * np.log(np.clip(probs, 1e-12, 1.0)), axis=1)
-        entropy[i : i + 1024] = ent
+    n_rows, n_blocks = emage.height_px // in_h, emage.width_px // in_w
+    blocks = emage.pixels[: n_rows * in_h, : n_blocks * in_w].reshape(n_rows, in_h, n_blocks, in_w)
+    probs = model.softmax(blocks.swapaxes(1, 2).reshape(-1, in_h, in_w))
+    entropy = -np.sum(probs * np.log(np.clip(probs, 1e-12, 1.0)), axis=1).astype(np.float64)
     entropy /= np.log(model.spec.n_classes)
-    per_window = entropy.reshape(n_rows, len(cells))[:, which.reshape(n_cols, 6)]
-    scores = 1.0 - per_window.mean(axis=2)
-    return ActivationMap(scores=scores, window=window, strides=strides)
+    per_window = sliding_window_view(entropy.reshape(n_rows, n_blocks), 6, axis=1)
+    return ActivationMap(scores=1.0 - per_window.mean(axis=2), window=window, strides=strides)

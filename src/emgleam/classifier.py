@@ -33,6 +33,11 @@ _FORMAT_VERSION = 1
 _BETA1 = 0.9
 _BETA2 = 0.999
 _EPS = 1e-8
+#: crops per forward pass at inference; bounds the conv workspace
+INFER_BATCH = 512
+# grad_check: coordinates probed and the finite-difference step
+_CHECK_COORDS = 200
+_CHECK_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -46,6 +51,9 @@ class CnnSpec:
     def __post_init__(self):
         if self.n_classes < 2:
             raise ValidationError("need at least two classes")
+        if len(self.conv_channels) != 2 or len(self.fc_sizes) != 2:
+            raise ValidationError(f"need two conv channel counts and two dense sizes, got "
+                                  f"{list(self.conv_channels)} and {list(self.fc_sizes)}")
         if min(self.conv_channels) < 1 or min(self.fc_sizes) < 1:
             raise ValidationError("zero-sized layer")
         h, w = self.input_hw
@@ -103,6 +111,7 @@ class _Conv:
         self.k = k
 
     params = property(lambda self: [self.w, self.b])
+    grads = property(lambda self: [self.gw, self.gb])
     fan_in = property(lambda self: self.w.shape[1] * self.k * self.k)
 
     def forward(self, x):
@@ -129,10 +138,6 @@ class _Conv:
             for v in range(k):
                 dx_c[:, :, u : u + oh, v : v + ow] += dcols[:, u, v]
         return dx
-
-    @property
-    def grads(self):
-        return [self.gw, self.gb]
 
 
 class _MaxPool2:
@@ -192,6 +197,7 @@ class _Dense:
         self.b = np.zeros(n_out, dtype=dtype)
 
     params = property(lambda self: [self.w, self.b])
+    grads = property(lambda self: [self.gw, self.gb])
     fan_in = property(lambda self: self.w.shape[0])
 
     def forward(self, x):
@@ -202,10 +208,6 @@ class _Dense:
         self.gw = self._x.T @ g
         self.gb = g.sum(axis=0)
         return g @ self.w.T
-
-    @property
-    def grads(self):
-        return [self.gw, self.gb]
 
 
 class CnnModel:
@@ -260,13 +262,11 @@ class CnnModel:
         g = (g / n).astype(self.dtype)
         for lay in reversed(self.layers):
             g = lay.backward(g)
-        return loss, self.flat_grads(), logits
+        grads = np.concatenate([g.ravel() for lay in self.layers for g in lay.grads])
+        return loss, grads, logits
 
     def flat_params(self) -> np.ndarray:
         return np.concatenate([p.ravel() for lay in self.layers for p in lay.params])
-
-    def flat_grads(self) -> np.ndarray:
-        return np.concatenate([g.ravel() for lay in self.layers for g in lay.grads])
 
     def set_flat_params(self, flat: np.ndarray) -> None:
         flat = np.asarray(flat, dtype=self.dtype)
@@ -280,8 +280,15 @@ class CnnModel:
                 p[...] = flat[pos : pos + p.size].reshape(p.shape)
                 pos += p.size
 
+    def logits(self, x: np.ndarray) -> np.ndarray:
+        """``forward`` INFER_BATCH crops at a time, for inference only: the
+        layers keep the cached inputs of the last chunk alone."""
+        x = np.asarray(x)
+        x = x[None] if x.ndim == 2 else x
+        return np.concatenate([self.forward(x[i : i + INFER_BATCH]) for i in range(0, len(x), INFER_BATCH)])
+
     def softmax(self, x: np.ndarray) -> np.ndarray:
-        return np.exp(log_softmax(self.forward(x)))
+        return np.exp(log_softmax(self.logits(x)))
 
     def predict_batch(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Argmax classes and softmax rows; ties break toward the lower index."""
@@ -330,18 +337,12 @@ class TrainResult:
         })
 
 
-def evaluate(model: CnnModel, x: np.ndarray, y: np.ndarray, batch_size: int = 512) -> tuple[float, float]:
-    """Mean cross-entropy and accuracy over a labeled set, batched."""
+def evaluate(model: CnnModel, x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Mean cross-entropy and accuracy over a labeled set."""
     y = np.asarray(y)
-    hits = 0
-    loss_sum = 0.0
-    for i in range(0, len(x), batch_size):
-        yb = y[i : i + batch_size]
-        logits = model.forward(x[i : i + batch_size])
-        logp = log_softmax(logits)
-        loss_sum += float(-logp[np.arange(len(yb)), yb].sum())
-        hits += int((logits.argmax(axis=1) == yb).sum())
-    return loss_sum / len(x), hits / len(x)
+    logits = model.logits(x)
+    loss = float(-log_softmax(logits)[np.arange(len(y)), y].sum())
+    return loss / len(y), int((logits.argmax(axis=1) == y).sum()) / len(y)
 
 
 def train(model: CnnModel, train_set, val_set, config: TrainConfig) -> TrainResult:
@@ -359,6 +360,10 @@ def train(model: CnnModel, train_set, val_set, config: TrainConfig) -> TrainResu
     y_train = np.asarray(y_train, dtype=np.int64)
     x_val = np.asarray(x_val, dtype=model.dtype)
     y_val = np.asarray(y_val, dtype=np.int64)
+    for labels in (y_train, y_val):
+        bad = labels[(labels < 0) | (labels >= model.spec.n_classes)]
+        if bad.size:
+            raise ValidationError(f"label {bad[0]} outside the model's {model.spec.n_classes} classes")
 
     rng = np.random.default_rng(config.seed)
     params = model.flat_params().astype(np.float64)
@@ -426,9 +431,7 @@ class GradCheckReport:
 def grad_check(
     spec: CnnSpec,
     tolerance: float = 1e-4,
-    n_coords: int = 200,
     seed: int = 0,
-    step: float = 1e-4,
 ) -> GradCheckReport:
     """Analytic gradient vs central finite differences on sampled coordinates.
 
@@ -447,7 +450,7 @@ def grad_check(
 
     base_loss, analytic, _ = model.loss_and_grads(x, y)
     params = model.flat_params()
-    n = min(n_coords, params.size)
+    n = min(_CHECK_COORDS, params.size)
     coords = rng.permutation(params.size)
 
     worst = 0.0
@@ -456,20 +459,20 @@ def grad_check(
         if checked >= n:
             break
         saved = params[idx]
-        params[idx] = saved + step
+        params[idx] = saved + _CHECK_STEP
         model.set_flat_params(params)
         lp, _, _ = model.loss_and_grads(x, y)
-        params[idx] = saved - step
+        params[idx] = saved - _CHECK_STEP
         model.set_flat_params(params)
         lm, _, _ = model.loss_and_grads(x, y)
         params[idx] = saved
-        d_fwd = (lp - base_loss) / step
-        d_bwd = (base_loss - lm) / step
+        d_fwd = (lp - base_loss) / _CHECK_STEP
+        d_bwd = (base_loss - lm) / _CHECK_STEP
         scale = max(abs(d_fwd), abs(d_bwd), 1e-8)
         if abs(d_fwd - d_bwd) > 0.1 * scale:
             continue  # kink inside the interval; not a valid probe point
         checked += 1
-        numeric = (lp - lm) / (2 * step)
+        numeric = (lp - lm) / (2 * _CHECK_STEP)
         denom = max(abs(analytic[idx]), abs(numeric), 1e-8)
         worst = max(worst, float(abs(analytic[idx] - numeric) / denom))
     model.set_flat_params(params)

@@ -64,6 +64,13 @@ def _parse_wh(text: str) -> tuple[int, int]:
         raise ValidationError(f"expected WxH, got {text!r}") from None
 
 
+def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(s) for s in text.split(","))
+    except ValueError:
+        raise ValidationError(f"{flag} expects comma-separated integers, got {text!r}") from None
+
+
 def _parse_snr(text: str, words: tuple[str, ...]) -> float | None:
     """--snr in dB, or None for one of the command's keywords."""
     if text.lower() in words:
@@ -250,9 +257,8 @@ def _cmd_split(args) -> int:
     sessions = [s for s in sessions if s.kind == args.kind]
     if not sessions:
         raise ValidationError(f"no {args.kind!r} sessions under {root}")
-    schedule = tuple(int(s) for s in args.schedule.split(","))
     sets = build_training_sets(
-        sessions, schedule=schedule, n_test=args.test_sessions,
+        sessions, schedule=_parse_ints(args.schedule, "--schedule"), n_test=args.test_sessions,
         seed=derive_seed(args.seed, "split"),
     )
     outdir = Path(args.output) if args.output else root / "splits"
@@ -296,9 +302,8 @@ def _cmd_gradcheck(args) -> int:
     from .classifier import CnnSpec, grad_check
 
     h, w = _parse_wh(args.input)
-    conv = tuple(int(s) for s in args.conv.split(","))
-    fc = tuple(int(s) for s in args.fc.split(","))
-    spec = CnnSpec((h, w), args.classes, conv_channels=conv, fc_sizes=fc)
+    spec = CnnSpec((h, w), args.classes, conv_channels=_parse_ints(args.conv, "--conv"),
+                   fc_sizes=_parse_ints(args.fc, "--fc"))
     report = grad_check(spec, tolerance=args.tolerance, seed=args.seed)
     if args.output:
         dump_json(args.output, {
@@ -499,10 +504,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _VALIDATION_EXIT
-    except EmgleamError as exc:
-        print(f"pipeline failure: {exc}", file=sys.stderr)
-        return _PIPELINE_EXIT
-    except OSError as exc:
+    except (EmgleamError, OSError) as exc:
         print(f"pipeline failure: {exc}", file=sys.stderr)
         return _PIPELINE_EXIT
 

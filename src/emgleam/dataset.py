@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -35,8 +36,10 @@ from .receiver import Emage, reconstruct
 from .util import derive_seed, dump_json, load_json
 
 # A session whose crops have lower mean dynamic range than this is flagged
-# as a failed acquisition and excluded from training by default.
+# as a failed acquisition; training sets always exclude flagged sessions.
 QUALITY_MIN_DYNAMIC_RANGE = 0.2
+#: train / val / internal-test shares of a training set's items
+SPLIT_FRACTIONS = (0.8, 0.1, 0.1)
 
 
 @dataclass(frozen=True)
@@ -131,22 +134,34 @@ class Session:
         dump_json(self.directory / "manifest.json", self.manifest())
 
 
+@contextmanager
+def _record(path):
+    """The JSON at path; a missing key or a mistyped value met while reading
+    it is a ValidationError naming the file."""
+    try:
+        yield load_json(path)
+    except KeyError as exc:
+        raise ValidationError(f"{path}: missing key {exc}") from None
+    except TypeError as exc:
+        raise ValidationError(f"{path}: malformed record ({exc})") from None
+
+
 def load_session(directory) -> Session:
     directory = Path(directory)
-    m = load_json(directory / "manifest.json")
-    items = [
-        SessionItem(
-            path=d["path"],
-            label=d["label"],
-            crop=(d["crop"]["x"], d["crop"]["y"], d["crop"]["w"], d["crop"]["h"]),
-            screen=int(d["screen"]),
+    with _record(directory / "manifest.json") as m:
+        items = [
+            SessionItem(
+                path=d["path"],
+                label=d["label"],
+                crop=(d["crop"]["x"], d["crop"]["y"], d["crop"]["w"], d["crop"]["h"]),
+                screen=int(d["screen"]),
+            )
+            for d in m["items"]
+        ]
+        return Session(
+            id=m["id"], profile=m["profile"], kind=m["kind"], seed=int(m["seed"]),
+            directory=directory, items=items, quality=m["quality"], params=m.get("params", {}),
         )
-        for d in m["items"]
-    ]
-    return Session(
-        id=m["id"], profile=m["profile"], kind=m["kind"], seed=int(m["seed"]),
-        directory=directory, items=items, quality=m["quality"], params=m.get("params", {}),
-    )
 
 
 def grid_crop(emage: Emage, rows: int, cols: int, cell_w: int, cell_h: int) -> list[Emage]:
@@ -327,7 +342,7 @@ class SplitPlan:
     split into train/val/internal-test by the given fractions.
     """
 
-    fractions: tuple[float, float, float] = (0.8, 0.1, 0.1)
+    fractions: tuple[float, float, float] = SPLIT_FRACTIONS
     train_sessions: tuple[str, ...] = ()
     test_sessions: tuple[str, ...] = ()
 
@@ -362,32 +377,31 @@ class TrainingSet:
 
 
 def load_training_set(path) -> TrainingSet:
-    d = load_json(path)
     # older split files also carry a "mode" key (always "session"); it is ignored
-    plan = SplitPlan(
-        fractions=tuple(d["fractions"]),
-        train_sessions=tuple(d["train_sessions"]),
-        test_sessions=tuple(d["test_sessions"]),
-    )
-    return TrainingSet(d["name"], plan, d["train"], d["val"], d["test_internal"])
+    with _record(path) as d:
+        plan = SplitPlan(
+            fractions=tuple(d["fractions"]),
+            train_sessions=tuple(d["train_sessions"]),
+            test_sessions=tuple(d["test_sessions"]),
+        )
+        return TrainingSet(d["name"], plan, d["train"], d["val"], d["test_internal"])
 
 
 def build_training_sets(
     sessions: list[Session],
     schedule: tuple[int, ...] = (1, 3, 5, 7),
     n_test: int = 2,
-    fractions: tuple[float, float, float] = (0.8, 0.1, 0.1),
     seed: int = 0,
-    include_flagged: bool = False,
 ) -> list[TrainingSet]:
     """Growing training sets over a fixed held-out test pair.
 
     Sessions sort by id; the last n_test become the cross-session test set
     for every training set, and Training k takes the first schedule[k]
     sessions of the remainder (so the sets are nested).  Within each
-    training set the items split by the 80/10/10 fractions.
+    training set the items split by the 80/10/10 SPLIT_FRACTIONS.  Flagged
+    sessions are left out.
     """
-    usable = sorted([s for s in sessions if include_flagged or not s.flagged], key=lambda s: s.id)
+    usable = sorted([s for s in sessions if not s.flagged], key=lambda s: s.id)
     need = max(schedule) + n_test
     if len(usable) < need:
         raise ValidationError(
@@ -403,15 +417,14 @@ def build_training_sets(
         paths = [f"sessions/{s.id}/{it.path}" for s in chosen for it in s.items]
         rng = np.random.default_rng(derive_seed(seed, "split", k))
         order = rng.permutation(len(paths))
-        n_train = int(len(paths) * fractions[0])
-        n_val = int(len(paths) * fractions[1])
+        n_train = int(len(paths) * SPLIT_FRACTIONS[0])
+        n_val = int(len(paths) * SPLIT_FRACTIONS[1])
         if n_train < 1 or n_val < 1:
             raise ValidationError(
-                f"training{i + 1}: {len(paths)} items split by {fractions} leave "
+                f"training{i + 1}: {len(paths)} items split by {SPLIT_FRACTIONS} leave "
                 f"{n_train} train / {n_val} val; both need at least one"
             )
         plan = SplitPlan(
-            fractions=fractions,
             train_sessions=tuple(s.id for s in chosen),
             test_sessions=tuple(s.id for s in test_sessions),
         )
@@ -425,17 +438,15 @@ def build_training_sets(
     return out
 
 
-def load_items(root, paths: list[str], label_of=None) -> tuple[np.ndarray, np.ndarray, list[str]]:
+def load_items(root, paths: list[str]) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """Load item PGMs into (images, labels, raw_labels).
 
-    ``label_of`` maps the manifest label string to a class index; the
-    default works for single digits.
+    A label is the manifest label string read as an integer: the digit of a
+    grid item, the whole code of a code item.
     """
     if not paths:
         raise ValidationError("no item paths to load")
     root = Path(root)
-    if label_of is None:
-        label_of = int
     images = []
     raw = []
     tables: dict[str, dict[str, str]] = {}  # session id -> item path -> label, read once per call
@@ -445,8 +456,7 @@ def load_items(root, paths: list[str], label_of=None) -> tuple[np.ndarray, np.nd
             raise ValidationError(f"item path {rel!r} is not dataset-relative")
         images.append(read_pgm(root / rel))
         if parts[1] not in tables:
-            m = load_json(root / parts[0] / parts[1] / "manifest.json")
-            tables[parts[1]] = {d["path"]: d["label"] for d in m["items"]}
+            with _record(root / parts[0] / parts[1] / "manifest.json") as m:
+                tables[parts[1]] = {d["path"]: d["label"] for d in m["items"]}
         raw.append(tables[parts[1]]["/".join(parts[2:])])
-    labels = [label_of(lab) for lab in raw]
-    return np.stack(images), np.asarray(labels, dtype=np.int64), raw
+    return np.stack(images), np.asarray([int(lab) for lab in raw], dtype=np.int64), raw

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .classifier import CnnSpec, TrainConfig, init_model, train
-from .dataset import HardwareDim, simulate
+from .dataset import SPLIT_FRACTIONS, HardwareDim, simulate
 from .emanator import DisplayTiming
 from .errors import StageError, ValidationError
 from .pgmio import write_pgm
@@ -125,6 +125,23 @@ def make_panel_profile(visible_w: int, visible_h: int, f_r: float = 60.0) -> Pho
     )
 
 
+def _each(convert):
+    """Parser of a comma-separated list of convert()ed values."""
+    return lambda text: tuple(convert(s) for s in text.split(",") if s.strip())
+
+
+def _value(section, key: str, convert, default: str | None = None):
+    """convert(section[key]) (or of the default); a missing or malformed
+    value is a ValidationError naming the section and the key."""
+    text = section.get(key, default)
+    if text is None:
+        raise ValidationError(f"attacker model: [{section.name}] needs {key}")
+    try:
+        return convert(text)
+    except ValueError:
+        raise ValidationError(f"attacker model: [{section.name}] {key} = {text!r} is malformed") from None
+
+
 def parse_spec_file(path) -> AttackerModelSpec:
     """Read the five-section attacker-model document.
 
@@ -149,8 +166,8 @@ def parse_spec_file(path) -> AttackerModelSpec:
         raise ValidationError("message dimension: only uniform priors are supported")
 
     app = cp["message_appearance"]
-    scales = tuple(float(s) for s in app.get("scales", "").split(",") if s.strip()) or CHART_SCALES
-    appearance = AppearanceDim(scales=scales, contrast=float(app.get("contrast", "1.0")))
+    appearance = AppearanceDim(scales=_value(app, "scales", _each(float), "") or CHART_SCALES,
+                               contrast=_value(app, "contrast", float, "1.0"))
     if app.get("background", "white").strip() not in ("white", "plain"):
         raise ValidationError("appearance dimension: only a plain white background is supported")
 
@@ -160,34 +177,35 @@ def parse_spec_file(path) -> AttackerModelSpec:
         raise ValidationError("attack_hardware: profile is required")
     if profile_name == "custom":
         profile = make_panel_profile(
-            visible_w=int(hw["visible_w"]),
-            visible_h=int(hw["visible_h"]),
-            f_r=float(hw.get("f_r", "60")),
+            visible_w=_value(hw, "visible_w", int),
+            visible_h=_value(hw, "visible_h", int),
+            f_r=_value(hw, "f_r", float, "60"),
         )
     else:
         profile = get_profile(profile_name)
     snr_text = hw.get("target_snr_db", "").strip().lower()
     hardware = HardwareDim(
         profile=profile,
-        sample_rate_hz=float(hw.get("sample_rate_hz", str(profile.sample_rate_hz))),
-        bandwidth_hz=float(hw.get("bandwidth_hz", str(profile.bandwidth_hz))),
-        target_snr_db=None if snr_text in ("", "none", "off") else float(snr_text),
-        distance_r=float(hw.get("distance_r", "1.0")),
-        coupling_gain=float(hw.get("coupling_gain", "1.0")),
-        frames=int(hw.get("frames", "1")),
+        sample_rate_hz=_value(hw, "sample_rate_hz", float, str(profile.sample_rate_hz)),
+        bandwidth_hz=_value(hw, "bandwidth_hz", float, str(profile.bandwidth_hz)),
+        target_snr_db=None if snr_text in ("", "none", "off") else _value(hw, "target_snr_db", float),
+        distance_r=_value(hw, "distance_r", float, "1.0"),
+        coupling_gain=_value(hw, "coupling_gain", float, "1.0"),
+        frames=_value(hw, "frames", int, "1"),
     )
 
     prof = cp["device_profiling"]
-    train_items = tuple(int(s) for s in prof.get("train_items_per_class_per_scale", "").split(",") if s.strip())
-    test_items = tuple(int(s) for s in prof.get("test_items_per_class_per_scale", "").split(",") if s.strip())
-    growth = tuple(int(s) for s in prof.get("growth", "").split(",") if s.strip())
-    profiling = ProfilingDim(train_items=train_items, test_items=test_items, growth=growth)
+    profiling = ProfilingDim(
+        train_items=_value(prof, "train_items_per_class_per_scale", _each(int), ""),
+        test_items=_value(prof, "test_items_per_class_per_scale", _each(int), ""),
+        growth=_value(prof, "growth", _each(int), ""),
+    )
 
     res = cp["computational_resources"]
     resources = ResourcesDim(
-        epochs=int(res.get("epochs", "40")),
-        batch_size=int(res.get("batch_size", "256")),
-        learning_rate=float(res.get("learning_rate", "0.001")),
+        epochs=_value(res, "epochs", int, "40"),
+        batch_size=_value(res, "batch_size", int, "256"),
+        learning_rate=_value(res, "learning_rate", float, "0.001"),
     )
     return AttackerModelSpec(message, appearance, hardware, profiling, resources)
 
@@ -315,8 +333,8 @@ def run_testbed(spec: AttackerModelSpec, seed: int = 0) -> TestbedReport:
         y_pool = np.concatenate([train_sessions[j][1] for j in range(n_sessions)])
         rng = np.random.default_rng(derive_seed(seed, "stage-split", stage_idx))
         order = rng.permutation(len(x_pool))
-        n_train = int(0.8 * len(order))
-        n_val = max(1, int(0.1 * len(order)))
+        n_train = int(SPLIT_FRACTIONS[0] * len(order))
+        n_val = max(1, int(SPLIT_FRACTIONS[1] * len(order)))
         tr = order[:n_train]
         va = order[n_train : n_train + n_val]
         model = init_model(
@@ -335,29 +353,22 @@ def run_testbed(spec: AttackerModelSpec, seed: int = 0) -> TestbedReport:
                 seed=derive_seed(seed, "train", stage_idx),
             ),
         )
-        preds = np.empty(len(x_test), dtype=np.int64)
-        for i in range(0, len(x_test), 512):
-            preds[i : i + 512] = result.model.predict_batch(x_test[i : i + 512])[0]
-        stage_acc = float((preds == y_test).mean())
+        preds = result.model.predict_batch(x_test)[0]
         stages.append({
             "name": f"training{stage_idx + 1}",
             "n_sessions": int(n_sessions),
             "val_accuracy": result.best_val_accuracy,
-            "test_accuracy": stage_acc,
+            "test_accuracy": float((preds == y_test).mean()),
         })
-        final_preds = preds
 
-    per_scale = {}
-    for s in scales:
-        idx = [i for i, st in enumerate(test_stimuli) if st.scale == s]
-        per_scale[s] = float((final_preds[idx] == y_test[idx]).mean())
-    per_letter = {}
+    # the last stage's model is the one scored
+    hits = preds == y_test
+    test_scales = np.array([st.scale for st in test_stimuli])
+    per_scale = {s: float(hits[test_scales == s].mean()) for s in scales}
     confusion = np.zeros((n_letters, n_letters), dtype=np.int64)
-    for i, st in enumerate(test_stimuli):
-        confusion[y_test[i], final_preds[i]] += 1
-    for li, letter in enumerate(letters):
-        row = confusion[li]
-        per_letter[letter] = float(row[li] / row.sum()) if row.sum() else float("nan")
+    np.add.at(confusion, (y_test, preds), 1)
+    per_letter = {letter: float(row[li] / row.sum()) if row.sum() else float("nan")
+                  for li, (letter, row) in enumerate(zip(letters, confusion))}
 
     return TestbedReport(
         letters=letters,
@@ -366,7 +377,7 @@ def run_testbed(spec: AttackerModelSpec, seed: int = 0) -> TestbedReport:
         per_letter_accuracy=per_letter,
         confusion=confusion,
         stages=stages,
-        overall_accuracy=float((final_preds == y_test).mean()),
+        overall_accuracy=float(hits.mean()),
         metadata={
             "seed": seed,
             "profile": spec.hardware.profile.name,

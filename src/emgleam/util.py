@@ -6,6 +6,8 @@ import hashlib
 import json
 from pathlib import Path
 
+from .errors import ValidationError
+
 
 def derive_seed(base_seed: int, *labels) -> int:
     """Derive a child seed from a base seed and a sequence of stage labels.
@@ -30,5 +32,9 @@ def dump_json(path, obj) -> None:
 
 
 def load_json(path):
+    """Parse a UTF-8 JSON file; a file that is not one is a ValidationError."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise ValidationError(f"{path}: not a JSON file ({exc})") from None

@@ -157,13 +157,16 @@ class TestSlidingMapGeometry:
         with pytest.raises(ValidationError, match="larger than emage"):
             sliding_map(uniform_emage(100, 20), model)
 
-    @pytest.mark.parametrize("window, strides", [(None, None), ((130, 31), (7, 11))])
-    def test_matches_per_window_reference(self, window, strides):
-        # (130, 31) at strides (7, 11): the last sub-crop is 25 columns wide
-        # and is center-cropped to the input, and cells overlap unevenly
+    def test_reports_the_digit_block_geometry(self):
+        model = init_model(CnnSpec((31, 21), 10), seed=0)
+        amap = sliding_map(random_emage(300, 200), model)
+        assert amap.window == (6 * 21, 31)
+        assert amap.strides == (21, 31)
+
+    def test_matches_per_window_reference(self):
         model = init_model(CnnSpec((31, 21), 10), seed=0)
         emage = random_emage(300, 200, seed=1)
-        amap = sliding_map(emage, model, window=window, strides=strides)
+        amap = sliding_map(emage, model)
         ref = per_window_scores(emage, model, amap.window, amap.strides)
         assert amap.scores.shape == ref.shape
         assert float(np.abs(amap.scores - ref).max()) <= 1e-6

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 from scipy import signal as sp_signal
@@ -11,6 +14,7 @@ from emgleam.classifier import (
     grad_check,
     init_model,
     load_model,
+    log_softmax,
     save_model,
     train,
 )
@@ -63,6 +67,11 @@ class TestInit:
         with pytest.raises(ValidationError):
             CnnSpec((6, 6), 10)  # pools away to nothing
 
+    @pytest.mark.parametrize("conv, fc", [((2,), (8, 6)), ((2, 3, 4), (8, 6)), ((2, 3), (8,)), ((2, 3), ())])
+    def test_layer_lists_need_two_entries(self, conv, fc):
+        with pytest.raises(ValidationError, match="two conv channel counts and two dense sizes"):
+            CnnSpec((20, 16), 4, conv_channels=conv, fc_sizes=fc)
+
 
 class TestForward:
     def test_zero_weights_give_uniform_softmax(self):
@@ -83,6 +92,23 @@ class TestForward:
         full = model.forward(batch)
         single = model.forward(batch[17])
         assert np.max(np.abs(full[17] - single[0])) < 1e-6
+
+    def test_inference_runs_in_chunks_of_512(self):
+        # softmax and predict_batch equal per-512 forward passes, bit for bit
+        model = init_model(CnnSpec((31, 21), 10), seed=4)
+        x = np.random.default_rng(5).random((1100, 31, 21), dtype=np.float32)
+        probs = np.exp(log_softmax(np.concatenate([model.forward(x[i : i + 512])
+                                                   for i in range(0, 1100, 512)])))
+        assert np.array_equal(model.softmax(x), probs)
+        labels, again = model.predict_batch(x)
+        assert np.array_equal(again, probs)
+        assert np.array_equal(labels, probs.argmax(axis=1))
+
+    def test_single_image_softmax(self):
+        model = init_model(SMALL, seed=2)
+        x = np.random.default_rng(1).random((20, 16))
+        assert model.softmax(x).shape == (1, 4)
+        assert np.array_equal(model.softmax(x), model.softmax(x[None]))
 
     def test_shape_mismatch_rejected(self):
         model = init_model(SMALL, seed=0)
@@ -238,6 +264,15 @@ class TestTrain:
             train(model, (x, y % 4), (x, y % 4),
                   TrainConfig(epochs=10, learning_rate=1e12, seed=0))
 
+    @pytest.mark.parametrize("bad", [4, -1])
+    def test_out_of_range_label_rejected(self, bad):
+        x, y = blobs(20)
+        y = y.copy()
+        y[7] = bad
+        model = init_model(SMALL, seed=0)
+        with pytest.raises(ValidationError, match=f"label {bad} outside the model's 4 classes"):
+            train(model, (x, y), (x, y), TrainConfig(epochs=1))
+
     def test_empty_sets_rejected(self):
         model = init_model(SMALL, seed=0)
         with pytest.raises(ValidationError, match="empty"):
@@ -293,6 +328,13 @@ class TestSerialization:
         again = load_model(path)
         x = np.random.default_rng(10).random((5, 20, 16)).astype(np.float32)
         assert np.allclose(model.forward(x), again.forward(x), atol=1e-6)
+
+    def test_spec_with_three_conv_layers_rejected(self, tmp_path):
+        block = json.dumps({"spec": {**SMALL.as_dict(), "conv_channels": [2, 3, 4]}, "meta": {}}).encode()
+        path = tmp_path / "three.bin"
+        path.write_bytes(b"EMGL" + struct.pack("<II", 1, len(block)) + block + struct.pack("<Q", 0))
+        with pytest.raises(ValidationError, match="two conv channel counts"):
+            load_model(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"

@@ -243,6 +243,69 @@ class TestDatasetCommands:
         assert run(["split", "--schedule", "1", "--test-sessions", "1"]) == 2
 
 
+class TestMalformedInputs:
+    """Bad flags and malformed files exit 2 with an ``error:`` line."""
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--conv", "2"], "need two conv channel counts and two dense sizes, got [2] and [8, 6]"),
+        (["--fc", "8"], "need two conv channel counts and two dense sizes, got [2, 3] and [8]"),
+        (["--conv", "2,3,4"], "need two conv channel counts"),
+        (["--conv", "a,b"], "--conv expects comma-separated integers, got 'a,b'"),
+        (["--fc", "8,x"], "--fc expects comma-separated integers"),
+    ])
+    def test_bad_gradcheck_layer_lists(self, capsys, flags, message):
+        assert run(["gradcheck", *flags]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, classes", [
+        (["--rows", 4, "--cols", 4, "--screens", 1], 5),  # digit labels 0-9
+        (["--kind", "code", "--codes", 10], 10),  # six-digit code labels
+    ])
+    def test_labels_outside_the_classes(self, tmp_path, capsys, flags, classes):
+        root = tmp_path / "data"
+        kind = "code" if "code" in flags else "grid"
+        assert run(["session", "--profile", "galaxy_a3", *flags, "--id", "s0", "-o", root]) == 0
+        assert run(["split", "--dataset", root, "--kind", kind, "--schedule", 1,
+                    "--test-sessions", 0]) == 0
+        capsys.readouterr()
+        assert run(["train", "--dataset", root, "--split", root / "splits" / "training1.json",
+                    "--classes", classes, "--epochs", 1, "-o", tmp_path / "m.bin"]) == 2
+        assert f"outside the model's {classes} classes" in capsys.readouterr().err
+        assert not (tmp_path / "m.bin").exists()
+
+    @pytest.mark.parametrize("content, message", [
+        (b"# emgleam\n\nNot a split.\n", "not a JSON file"),
+        (b"\xff\xfe\x00\x01", "not a JSON file"),
+        (b"{}", "missing key 'fractions'"),
+        (b'{"name": "training1", "fractions": [0.8, 0.1, 0.1]}', "missing key 'train_sessions'"),
+        (b"[]", "malformed record"),
+    ])
+    def test_malformed_split_file(self, tmp_path, capsys, content, message):
+        path = tmp_path / "split.json"
+        path.write_bytes(content)
+        assert run(["train", "--dataset", tmp_path, "--split", path, "-o", tmp_path / "m.bin"]) == 2
+        assert f"error: {path}: {message}" in capsys.readouterr().err
+
+    def test_non_numeric_split_schedule(self, tmp_path, capsys):
+        root = tmp_path / "data"
+        assert run(["session", "--profile", "galaxy_a3", "--rows", 2, "--cols", 2, "--screens", 1,
+                    "--id", "g0", "-o", root]) == 0
+        assert run(["split", "--dataset", root, "--schedule", "1,x", "--test-sessions", 0]) == 2
+        assert "error: --schedule expects comma-separated integers, got '1,x'" in capsys.readouterr().err
+        assert not (root / "splits").exists()
+
+    def test_manifest_without_items(self, tmp_path, capsys):
+        root = tmp_path / "data"
+        assert run(["session", "--profile", "galaxy_a3", "--rows", 2, "--cols", 2, "--screens", 1,
+                    "--id", "g0", "-o", root]) == 0
+        manifest = root / "sessions" / "g0" / "manifest.json"
+        record = json.loads(manifest.read_text())
+        del record["items"]
+        manifest.write_text(json.dumps(record))
+        assert run(["split", "--dataset", root, "--schedule", 1, "--test-sessions", 0]) == 2
+        assert f"error: {manifest}: missing key 'items'" in capsys.readouterr().err
+
+
 TESTBED_SPEC = """\
 [message]
 letters = C,T
@@ -284,6 +347,22 @@ class TestTestbedCommand:
         spec.write_text(TESTBED_SPEC.replace("target_snr_db = 30", "target_snr_db = nan"))
         assert run(["testbed", "--spec", spec, "-o", tmp_path / "r"]) == 2
         assert "target_snr_db nan must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("scales = 20\n", "scales = 20\ncontrast = abc\n",
+         "[message_appearance] contrast = 'abc' is malformed"),
+        ("visible_w = 128\n", "", "[attack_hardware] needs visible_w"),
+        ("visible_h = 192", "visible_h = tall", "[attack_hardware] visible_h = 'tall' is malformed"),
+        ("test_items_per_class_per_scale = 2", "test_items_per_class_per_scale = 2,x",
+         "[device_profiling] test_items_per_class_per_scale = '2,x' is malformed"),
+        ("epochs = 10", "epochs = ten", "[computational_resources] epochs = 'ten' is malformed"),
+    ])
+    def test_malformed_spec_value_names_section_and_key(self, tmp_path, capsys, old, new, message):
+        spec = tmp_path / "bad.ini"
+        spec.write_text(TESTBED_SPEC.replace(old, new))
+        assert run(["testbed", "--spec", spec, "-o", tmp_path / "r"]) == 2
+        assert f"error: attacker model: {message}" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
     def test_incomplete_spec_rejected(self, tmp_path):
