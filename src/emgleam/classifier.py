@@ -7,6 +7,12 @@ on softmax cross-entropy.  Forward, backward and the optimizer are
 implemented here directly; a finite-difference gradient check validates
 the backward pass.
 
+Between the input check and the flatten, activations are channel-major
+(C, N, H, W) maps, so each convolution's matrix product is its output
+without a transposed copy.  A training step computes only gradients that
+are read: the first convolution's backward stops at its weights and bias,
+since nothing reads the gradient of the input crops.
+
 Flatten sizes per standard input (channels 6/16, dense 120/84):
 31x21 -> 128, 31x20 -> 128, 45x21 -> 256.
 
@@ -95,14 +101,20 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 class _Conv:
-    """Valid kxk convolution as an im2col matrix product.
+    """Valid kxk convolution as an im2col matrix product on (C, N, H, W) maps.
 
     The (C*k*k, N*OH*OW) patch matrix (rows in (c, u, v) order, columns in
     (n, y, x) order) is one copy of a strided window view of the input; it
-    serves the weight gradient too.  The input gradient scatters the column
-    gradient back with one k*k loop over all channels at once, so each input
-    element sums its (u, v) terms in row-major order: another order changes
-    the float32 sums and the trained model bytes.
+    serves the weight gradient too.  With channel-major maps the (F,
+    N*OH*OW) product is the output as it stands, and backward reads the
+    output gradient as that matrix again.  ``param_grads`` stops at the
+    weight and bias gradients: the first layer's input is the crop, whose
+    gradient nothing reads.  ``backward`` goes on to the input gradient: it
+    multiplies by the output gradient ordered (F, OH, OW, N) and scatters
+    the column gradient back with one k*k loop into a (C, H, W, N) buffer,
+    so the adds run over long contiguous rows and each input element sums
+    its (u, v) terms in row-major order: another order changes the float32
+    sums and the trained model bytes.
     """
 
     def __init__(self, c_in: int, c_out: int, k: int, dtype):
@@ -115,36 +127,45 @@ class _Conv:
     fan_in = property(lambda self: self.w.shape[1] * self.k * self.k)
 
     def forward(self, x):
-        n, c, h, w = x.shape
+        c, n, h, w = x.shape
         k = self.k
         oh, ow = h - k + 1, w - k + 1
         self._x_shape = x.shape
-        windows = sliding_window_view(x, (k, k), axis=(2, 3))  # (N, C, OH, OW, k, k)
-        self._cols = windows.transpose(1, 4, 5, 0, 2, 3).reshape(c * k * k, n * oh * ow)
+        windows = sliding_window_view(x, (k, k), axis=(2, 3))  # (C, N, OH, OW, k, k)
+        self._cols = windows.transpose(0, 4, 5, 1, 2, 3).reshape(c * k * k, n * oh * ow)
         out = self.w.reshape(self.w.shape[0], -1) @ self._cols  # (F, N*OH*OW)
         out += self.b[:, None]
-        return np.ascontiguousarray(out.reshape(-1, n, oh, ow).transpose(1, 0, 2, 3))
+        return out.reshape(-1, n, oh, ow)
 
-    def backward(self, g):
-        n, f, oh, ow = g.shape
-        k = self.k
-        gm = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(f, -1)
+    def param_grads(self, g):
+        gm = g.reshape(g.shape[0], -1)
         self.gw = (gm @ self._cols.T).reshape(self.w.shape)
         self.gb = gm.sum(axis=1)
-        dcols = (self.w.reshape(f, -1).T @ gm).reshape(-1, k, k, n, oh, ow)
-        dx = np.zeros(self._x_shape, dtype=g.dtype)
-        dx_c = dx.transpose(1, 0, 2, 3)  # (C, N, H, W) view
+
+    def backward(self, g):
+        self.param_grads(g)
+        f, n, oh, ow = g.shape
+        c, _, h, w = self._x_shape
+        k = self.k
+        gt = g.transpose(0, 2, 3, 1).reshape(f, -1)  # (F, OH*OW*N)
+        dcols = (self.w.reshape(f, -1).T @ gt).reshape(c, k, k, oh, ow, n)
+        dx = np.zeros((c, h, w, n), dtype=g.dtype)
         for u in range(k):
             for v in range(k):
-                dx_c[:, :, u : u + oh, v : v + ow] += dcols[:, u, v]
-        return dx
+                dx[:, u : u + oh, v : v + ow] += dcols[:, u, v]
+        # one copy to (C, N, H, W): pooling's backward reads the map in that order
+        return np.ascontiguousarray(dx.transpose(0, 3, 1, 2))
 
 
 class _MaxPool2:
-    """2x2 max pooling, stride 2; an odd last row or column is dropped.
+    """2x2 max pooling, stride 2, on (C, N, H, W) maps; an odd last row or
+    column is dropped.
 
-    The four quadrant views of the 2x2 blocks stack in row-major order, so
-    ``argmax`` sends the gradient of a tied block to its first maximum.
+    The output is the elementwise maximum of the four quadrant views of the
+    2x2 blocks, taken in row-major order.  The backward record is one byte
+    per output: the index of the block's first maximum, so a tied block
+    sends its gradient to the first of its maxima.  Backward copies the
+    gradient's bits into that position and leaves +0.0 elsewhere.
     """
 
     params = property(lambda self: [])
@@ -156,14 +177,23 @@ class _MaxPool2:
 
     def forward(self, x):
         self._in_shape = x.shape
-        quads = np.stack(self._quadrants(x, x.shape[2] // 2, x.shape[3] // 2))
-        self._arg = quads.argmax(axis=0)
-        return quads.max(axis=0)
+        q0, q1, q2, q3 = self._quadrants(x, x.shape[2] // 2, x.shape[3] // 2)
+        out = np.maximum(q0, q1)
+        np.maximum(out, q2, out=out)
+        np.maximum(out, q3, out=out)
+        # the first maximum's index counts the quadrants before it that miss
+        miss = q0 != out
+        self._first = miss.astype(np.uint8)
+        for q in (q1, q2):
+            miss &= q != out
+            self._first += miss
+        return out
 
     def backward(self, g):
         gx = np.zeros(self._in_shape, dtype=g.dtype)
+        bits = np.dtype(f"u{g.itemsize}")  # integer multiply by 0/1 keeps -0.0 and +0.0 apart
         for idx, quad in enumerate(self._quadrants(gx, *g.shape[2:])):
-            np.copyto(quad, g, where=self._arg == idx)
+            np.multiply(g.view(bits), self._first == idx, out=quad.view(bits))
         return gx
 
 
@@ -180,15 +210,18 @@ class _Relu:
 
 
 class _Flatten:
+    """(C, N, h, w) maps to (N, C*h*w) rows, each in (c, y, x) order."""
+
     params = property(lambda self: [])
     grads = property(lambda self: [])
 
     def forward(self, x):
         self._shape = x.shape
-        return x.reshape(x.shape[0], -1)
+        return x.transpose(1, 0, 2, 3).reshape(x.shape[1], -1)
 
     def backward(self, g):
-        return g.reshape(self._shape)
+        c, n, h, w = self._shape
+        return g.reshape(n, c, h, w).transpose(1, 0, 2, 3)
 
 
 class _Dense:
@@ -242,7 +275,9 @@ class CnnModel:
             x = x[None]
         if x.ndim != 3 or x.shape[1:] != tuple(self.spec.input_hw):
             raise ValidationError(f"batch shape {x.shape} does not match input {self.spec.input_hw}")
-        return x[:, None, :, :]  # single luminance channel
+        if not len(x):
+            raise ValidationError("empty batch")
+        return x[None]  # single luminance channel, channel-major: (1, N, H, W)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         out = self._check_input(x)
@@ -260,8 +295,9 @@ class CnnModel:
         g = np.exp(logp)
         g[np.arange(n), y] -= 1.0
         g = (g / n).astype(self.dtype)
-        for lay in reversed(self.layers):
+        for lay in reversed(self.layers[1:]):
             g = lay.backward(g)
+        self.layers[0].param_grads(g)  # the crops' own gradient is never read
         grads = np.concatenate([g.ravel() for lay in self.layers for g in lay.grads])
         return loss, grads, logits
 
@@ -285,7 +321,9 @@ class CnnModel:
         layers keep the cached inputs of the last chunk alone."""
         x = np.asarray(x)
         x = x[None] if x.ndim == 2 else x
-        return np.concatenate([self.forward(x[i : i + INFER_BATCH]) for i in range(0, len(x), INFER_BATCH)])
+        # at least one chunk, so that an empty batch meets forward's check
+        return np.concatenate([self.forward(x[i : i + INFER_BATCH])
+                               for i in range(0, max(len(x), 1), INFER_BATCH)])
 
     def softmax(self, x: np.ndarray) -> np.ndarray:
         return np.exp(log_softmax(self.logits(x)))

@@ -455,8 +455,12 @@ def load_items(root, paths: list[str]) -> tuple[np.ndarray, np.ndarray, list[str
         if len(parts) < 4 or parts[0] != "sessions":
             raise ValidationError(f"item path {rel!r} is not dataset-relative")
         images.append(read_pgm(root / rel))
+        manifest = root / parts[0] / parts[1] / "manifest.json"
         if parts[1] not in tables:
-            with _record(root / parts[0] / parts[1] / "manifest.json") as m:
+            with _record(manifest) as m:
                 tables[parts[1]] = {d["path"]: d["label"] for d in m["items"]}
-        raw.append(tables[parts[1]]["/".join(parts[2:])])
+        label = tables[parts[1]].get("/".join(parts[2:]))
+        if label is None:
+            raise ValidationError(f"{root / rel}: not an item listed in {manifest}")
+        raw.append(label)
     return np.stack(images), np.asarray([int(lab) for lab in raw], dtype=np.int64), raw

@@ -3,6 +3,7 @@ import struct
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import signal as sp_signal
 
 from emgleam.classifier import (
@@ -21,6 +22,93 @@ from emgleam.classifier import (
 from emgleam.errors import DivergenceError, ValidationError
 
 SMALL = CnnSpec((20, 16), 4, conv_channels=(2, 3), fc_sizes=(8, 6))
+
+
+def channel_major(a):
+    """(N, C, H, W) <-> (C, N, H, W)."""
+    return a.transpose(1, 0, 2, 3)
+
+
+# Reference layers in the batch-major (N, C, H, W) layout, with the patch
+# matrix, col2im order and pooling of the layers the classifier had before
+# channel-major maps: the rewritten layers must give the same bits.
+
+def ref_conv_forward(x, w, b):
+    n, c, h, wd = x.shape
+    f, _, k, _ = w.shape
+    oh, ow = h - k + 1, wd - k + 1
+    cols = sliding_window_view(x, (k, k), axis=(2, 3)).transpose(1, 4, 5, 0, 2, 3).reshape(c * k * k, -1)
+    out = w.reshape(f, -1) @ cols
+    out += b[:, None]
+    return np.ascontiguousarray(out.reshape(f, n, oh, ow).transpose(1, 0, 2, 3)), cols
+
+
+def ref_conv_backward(g, w, cols, x_shape):
+    """(gw, gb, dx), dx scattered with one k*k loop over an (N, C, H, W) buffer."""
+    n, f, oh, ow = g.shape
+    k = w.shape[-1]
+    gm = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(f, -1)
+    dcols = (w.reshape(f, -1).T @ gm).reshape(-1, k, k, n, oh, ow)
+    dx = np.zeros(x_shape, dtype=g.dtype)
+    dx_c = dx.transpose(1, 0, 2, 3)
+    for u in range(k):
+        for v in range(k):
+            dx_c[:, :, u : u + oh, v : v + ow] += dcols[:, u, v]
+    return (gm @ cols.T).reshape(w.shape), gm.sum(axis=1), dx
+
+
+def ref_quadrants(a, h2, w2):
+    return [a[:, :, i : 2 * h2 : 2, j : 2 * w2 : 2] for i in (0, 1) for j in (0, 1)]
+
+
+def ref_pool_forward(x):
+    """(max, argmax) over the four stacked quadrant views."""
+    quads = np.stack(ref_quadrants(x, x.shape[2] // 2, x.shape[3] // 2))
+    return quads.max(axis=0), quads.argmax(axis=0)
+
+
+def ref_pool_backward(g, arg, x_shape):
+    gx = np.zeros(x_shape, dtype=g.dtype)
+    for idx, quad in enumerate(ref_quadrants(gx, *g.shape[2:])):
+        np.copyto(quad, g, where=arg == idx)
+    return gx
+
+
+def ref_loss_and_grads(model, x, y):
+    """Loss, flat gradients and logits through the reference layers, with
+    the first conv's input gradient computed too."""
+    conv1, _, _, conv2, _, _, _, *dense = model.layers
+    dense = dense[::2]
+    n = len(x)
+    a0 = np.asarray(x, dtype=model.dtype)[:, None]
+    z1, cols1 = ref_conv_forward(a0, conv1.w, conv1.b)
+    r1 = z1 * (z1 > 0)
+    p1, arg1 = ref_pool_forward(r1)
+    z2, cols2 = ref_conv_forward(p1, conv2.w, conv2.b)
+    r2 = z2 * (z2 > 0)
+    p2, arg2 = ref_pool_forward(r2)
+    acts = [p2.reshape(n, -1)]
+    for i, lay in enumerate(dense):
+        z = acts[-1] @ lay.w + lay.b
+        acts.append(z if i == len(dense) - 1 else z * (z > 0))
+    logits = acts[-1]
+    logp = log_softmax(logits)
+    loss = float(-logp[np.arange(n), y].mean())
+    g = np.exp(logp)
+    g[np.arange(n), y] -= 1.0
+    g = (g / n).astype(model.dtype)
+    dense_grads = []
+    for i in reversed(range(len(dense))):
+        if i < len(dense) - 1:
+            g = g * (acts[i + 1] > 0)
+        dense_grads = [acts[i].T @ g, g.sum(axis=0)] + dense_grads
+        g = g @ dense[i].w.T
+    g = ref_pool_backward(g.reshape(p2.shape), arg2, r2.shape) * (z2 > 0)
+    gw2, gb2, dx2 = ref_conv_backward(g, conv2.w, cols2, p1.shape)
+    g = ref_pool_backward(dx2, arg1, r1.shape) * (z1 > 0)
+    gw1, gb1, _ = ref_conv_backward(g, conv1.w, cols1, a0.shape)
+    grads = np.concatenate([a.ravel() for a in [gw1, gb1, gw2, gb2, *dense_grads]])
+    return loss, grads, logits
 
 
 def blobs(n=150, seed=0):
@@ -109,6 +197,18 @@ class TestForward:
         x = np.random.default_rng(1).random((20, 16))
         assert model.softmax(x).shape == (1, 4)
         assert np.array_equal(model.softmax(x), model.softmax(x[None]))
+
+    @pytest.mark.parametrize("call", [
+        lambda m, x: m.forward(x),
+        lambda m, x: m.softmax(x),
+        lambda m, x: m.predict_batch(x),
+        lambda m, x: evaluate(m, x, np.zeros(0, dtype=int)),
+        lambda m, x: m.loss_and_grads(x, np.zeros(0, dtype=int)),
+    ])
+    def test_empty_batch_rejected(self, call):
+        model = init_model(SMALL, seed=0)
+        with pytest.raises(ValidationError, match="empty batch"):
+            call(model, np.zeros((0, 20, 16), dtype=np.float32))
 
     def test_shape_mismatch_rejected(self):
         model = init_model(SMALL, seed=0)
@@ -201,8 +301,8 @@ class TestLayers:
         x = rng.standard_normal((n, c, h, w))
         g = rng.standard_normal((n, f, h - k + 1, w - k + 1))
 
-        out = conv.forward(x)
-        dx = conv.backward(g)
+        out = channel_major(conv.forward(channel_major(x)))
+        dx = channel_major(conv.backward(channel_major(g)))
         ref_out = np.stack([
             [sum(sp_signal.correlate(x[i, ci], conv.w[fi, ci], mode="valid") for ci in range(c)) + conv.b[fi]
              for fi in range(f)]
@@ -220,6 +320,64 @@ class TestLayers:
         np.testing.assert_allclose(conv.gw, ref_gw, rtol=0, atol=1e-12)
         np.testing.assert_allclose(conv.gb, g.sum(axis=(0, 2, 3)), rtol=0, atol=1e-12)
         np.testing.assert_allclose(dx, ref_dx, rtol=0, atol=1e-12)
+
+
+    @pytest.mark.parametrize("c, f, hw", [(1, 6, (31, 21)), (6, 16, (13, 8)), (12, 32, (14, 14))])
+    def test_conv_matches_batch_major_reference(self, c, f, hw):
+        rng = np.random.default_rng(c)
+        conv = _Conv(c, f, 5, np.float32)
+        conv.w[...] = rng.uniform(-0.3, 0.3, conv.w.shape)
+        conv.b[...] = rng.uniform(-0.1, 0.1, f)
+        x = rng.standard_normal((37, c, *hw), dtype=np.float32)
+        ref_out, cols = ref_conv_forward(x, conv.w, conv.b)
+        g = rng.standard_normal(ref_out.shape, dtype=np.float32)
+        ref_gw, ref_gb, ref_dx = ref_conv_backward(g, conv.w, cols, x.shape)
+
+        out = conv.forward(np.ascontiguousarray(channel_major(x)))
+        assert out.dtype == np.float32 and np.array_equal(channel_major(out), ref_out)
+        dx = conv.backward(np.ascontiguousarray(channel_major(g)))
+        assert np.array_equal(conv.gw, ref_gw) and np.array_equal(conv.gb, ref_gb)
+        assert np.array_equal(channel_major(dx), ref_dx)
+        conv.param_grads(np.ascontiguousarray(channel_major(g)))
+        assert np.array_equal(conv.gw, ref_gw) and np.array_equal(conv.gb, ref_gb)
+
+    @pytest.mark.parametrize("shape", [(6, 9, 27, 17), (4, 5, 8, 6)])
+    def test_pool_matches_stack_argmax_reference(self, shape):
+        # ReLU-like maps drawn from a few levels, so most blocks hold ties,
+        # with +0.0 and -0.0 mixed; gradients with signed zeros of their own
+        rng = np.random.default_rng(shape[2])
+        x = rng.integers(-1, 3, shape).astype(np.float32)
+        x *= x > 0
+        x[rng.random(shape) < 0.2] = -0.0
+        g = rng.integers(-2, 3, (shape[0], shape[1], shape[2] // 2, shape[3] // 2)).astype(np.float32)
+        g[rng.random(g.shape) < 0.3] = -0.0
+        ref_out, arg = ref_pool_forward(x)
+        pool = _MaxPool2()
+        out = pool.forward(x)
+        assert out.tobytes() == ref_out.tobytes()
+        assert np.array_equal(pool._first, arg)
+        gx = pool.backward(g)
+        assert gx.tobytes() == ref_pool_backward(g, arg, x.shape).tobytes()
+        # the same routing from a gradient in the layout conv2's backward returns
+        gx = pool.backward(np.ascontiguousarray(g.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2))
+        assert gx.tobytes() == ref_pool_backward(g, arg, x.shape).tobytes()
+
+    @pytest.mark.parametrize("spec", [
+        CnnSpec((31, 21), 10),
+        CnnSpec((32, 32), 26, conv_channels=(12, 32)),
+        SMALL,
+    ])
+    def test_loss_and_grads_match_reference_backward(self, spec):
+        model = init_model(spec, seed=3)
+        rng = np.random.default_rng(4)
+        x = rng.random((45, *spec.input_hw), dtype=np.float32)
+        y = rng.integers(0, spec.n_classes, 45)
+        loss, grads, logits = model.loss_and_grads(x, y)
+        ref_loss, ref_grads, ref_logits = ref_loss_and_grads(model, x, y)
+        assert grads.dtype == np.float32 and grads.size == model.n_params
+        assert loss == ref_loss
+        assert np.array_equal(logits, ref_logits)
+        assert np.array_equal(grads, ref_grads)
 
 
 class TestTrain:

@@ -305,6 +305,25 @@ class TestMalformedInputs:
         assert run(["split", "--dataset", root, "--schedule", 1, "--test-sessions", 0]) == 2
         assert f"error: {manifest}: missing key 'items'" in capsys.readouterr().err
 
+    def test_split_names_an_unlisted_item(self, tmp_path, capsys):
+        root = tmp_path / "data"
+        assert run(["session", "--profile", "galaxy_a3", "--rows", 4, "--cols", 4, "--screens", 1,
+                    "--id", "g0", "-o", root]) == 0
+        assert run(["split", "--dataset", root, "--schedule", 1, "--test-sessions", 0]) == 0
+        # a PGM left behind in items/ that the session's manifest does not list
+        items = root / "sessions" / "g0" / "items"
+        (items / "item_999999.pgm").write_bytes((items / "item_000000.pgm").read_bytes())
+        split_file = root / "splits" / "training1.json"
+        split = json.loads(split_file.read_text())
+        split["train"].append("sessions/g0/items/item_999999.pgm")
+        split_file.write_text(json.dumps(split))
+        capsys.readouterr()
+        assert run(["train", "--dataset", root, "--split", split_file, "--epochs", 1,
+                    "-o", tmp_path / "m.bin"]) == 2
+        assert (f"error: {items / 'item_999999.pgm'}: not an item listed in "
+                f"{root / 'sessions' / 'g0' / 'manifest.json'}") in capsys.readouterr().err
+        assert not (tmp_path / "m.bin").exists()
+
 
 TESTBED_SPEC = """\
 [message]
