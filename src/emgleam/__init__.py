@@ -34,6 +34,7 @@ from .dataset import (
     run_code_session,
     run_session,
     simulate,
+    simulate_seeds,
 )
 from .emanator import (
     ChannelModel,
@@ -42,7 +43,9 @@ from .emanator import (
     IqRecording,
     LeakageModel,
     LeakSignal,
+    add_noise,
     capture,
+    clean_baseband,
     edge_reference,
     emanate,
     video_waveform,

@@ -4,8 +4,11 @@ A session replays the profiling loop end to end in simulation: render a
 screen, radiate it, capture, reconstruct, crop, save labeled items.  Grid
 sessions tile the screen with digits (the multi-crop scheme: one captured
 screen yields rows x cols labeled crops); code sessions render mock push
-messages and save the six-digit code region.  Every simulated screen, the
-testbed's stimuli included, goes through ``simulate``.
+messages and save the six-digit code region.  Every simulated screen goes
+through ``simulate_seeds``: sessions call it through ``simulate``, one seed
+per screen; the testbed, whose chart repeats each letter/scale raster under
+many noise seeds, passes all of a raster's seeds at once, so the screen is
+emanated and synthesised once.
 
 Dataset layout on disk:
 
@@ -19,15 +22,15 @@ Manifests and items are byte-identical across runs with equal seeds.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .emanator import ChannelModel, emanate
-from .emanator import capture as capture_iq
+from .emanator import ChannelModel, add_noise, clean_baseband, emanate
 from .errors import ValidationError
 from .pgmio import read_pgm, write_pgm
 from .profiles import PhoneProfile
@@ -65,27 +68,39 @@ class HardwareDim:
             )
 
 
-def simulate(raster: ScreenRaster, hardware: HardwareDim, rng_seed: int) -> Emage:
-    """One screen through emanate -> capture -> reconstruct.
+def simulate_seeds(
+    raster: ScreenRaster, hardware: HardwareDim, seeds: Sequence[int]
+) -> Iterator[Emage]:
+    """One screen through emanate -> capture -> reconstruct, once per noise seed.
 
-    The screen radiates for hardware.frames frames, the channel noise draws
-    from rng_seed, and the emage lands on the profile's own reconstruction
-    grid at its nominal refresh rate.
+    The screen radiates for hardware.frames frames and its clean baseband
+    is synthesised once; the k-th emage draws its channel noise from
+    seeds[k] and lands on the profile's own reconstruction grid at its
+    nominal refresh rate.  Emages come one at a time, so only the clean
+    baseband and one noisy recording are held, and the last emage is
+    reconstructed with the clean baseband already released (a one-seed
+    call holds no more than one capture did).
     """
     profile = hardware.profile
-    leak = emanate(raster, profile.timing(), profile.leakage(coupling_gain=hardware.coupling_gain),
-                   frames=hardware.frames)
-    recording = capture_iq(
-        leak,
-        ChannelModel(
-            distance_r=hardware.distance_r,
-            target_snr_db=hardware.target_snr_db,
-            rng_seed=rng_seed,
-        ),
+    clean, sigma, _ = clean_baseband(
+        emanate(raster, profile.timing(), profile.leakage(coupling_gain=hardware.coupling_gain),
+                frames=hardware.frames),
+        ChannelModel(distance_r=hardware.distance_r, target_snr_db=hardware.target_snr_db),
         sample_rate_hz=hardware.sample_rate_hz,
         bandwidth_hz=hardware.bandwidth_hz,
     )
-    return reconstruct(recording, profile.recon_params())
+    params = profile.recon_params()
+    for k, seed in enumerate(seeds, 1):
+        recording = add_noise(replace(clean, seed=seed), sigma, np.random.default_rng(seed))
+        if k == len(seeds):
+            del clean
+        yield reconstruct(recording, params)
+
+
+def simulate(raster: ScreenRaster, hardware: HardwareDim, rng_seed: int) -> Emage:
+    """``simulate_seeds`` for the one seed rng_seed."""
+    (emage,) = simulate_seeds(raster, hardware, (rng_seed,))
+    return emage
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,12 @@ sampled at the ADC rate, attenuated with near-field distance as
 amplitude ~ r^-2.5 (power density ~ r^-5), summed with interferers and
 calibrated complex white noise.
 
+``capture`` is two public steps.  ``clean_baseband`` does everything that
+does not depend on the noise: the synthesis, the interferers and the noise
+calibration.  ``add_noise`` draws the seeded noise and adds it.  A caller
+that records one screen under many noise seeds builds the clean baseband
+once and calls ``add_noise`` per seed (``dataset.simulate_seeds``).
+
 The video frame repeats exactly, so a ``LeakSignal`` holds one frame and
 ``capture`` samples it in the frequency domain: the frame's harmonics sit
 at multiples of the refresh rate f_r and the capture band selects them.
@@ -297,20 +303,22 @@ def _component_baseband(
     return out
 
 
-def capture(
+def clean_baseband(
     leak: LeakSignal,
     channel: ChannelModel,
     sample_rate_hz: float = 25e6,
     center_freq_hz: float | None = None,
     bandwidth_hz: float = 12.5e6,
-) -> IqRecording:
-    """Simulated SDR acquisition of a leak signal.
+) -> tuple[IqRecording, float | None, np.random.Generator]:
+    """The deterministic part of ``capture``.
 
-    Deterministic given channel.rng_seed: the seeded stream supplies any
-    "random" interferer phases (in listed order) and then the noise samples.
-    The recording's timing carries the refresh rate actually synthesised,
-    fs*Q/P (see ``_component_baseband``): the leak's own rate whenever fs/f_r
-    is exact.
+    Returns the noise-free recording (the distance-scaled composite,
+    interferers included, still complex128), the noise sigma calibrated
+    against it for channel.target_snr_db (None without a target), and the
+    stream seeded by channel.rng_seed, already past any "random" interferer
+    phases (in listed order).  The recording's timing carries the refresh
+    rate actually synthesised, fs*Q/P (see ``_component_baseband``): the
+    leak's own rate whenever fs/f_r is exact.
     """
     if center_freq_hz is None:
         center_freq_hz = leak.carrier_hz
@@ -346,20 +354,48 @@ def capture(
         )
 
     composite *= channel.amplitude_scale
-
-    if channel.target_snr_db is not None:
-        sigma = calibrate_noise_sigma(composite, sample_rate_hz, channel.target_snr_db)
-        gauss = rng.standard_normal((n_out, 2))
-        composite = composite + (gauss[:, 0] + 1j * gauss[:, 1]) * (sigma / np.sqrt(2.0))
-
-    return IqRecording(
+    sigma = (None if channel.target_snr_db is None
+             else calibrate_noise_sigma(composite, sample_rate_hz, channel.target_snr_db))
+    clean = IqRecording(
         sample_rate_hz=sample_rate_hz,
         center_freq_hz=center_freq_hz,
-        samples=composite.astype(np.complex64),
+        samples=composite,
         frames_contained=leak.frames,
         timing=replace(leak.timing, f_r=float(Fraction(sample_rate_hz) / period)),
         seed=channel.rng_seed,
     )
+    return clean, sigma, rng
+
+
+def add_noise(clean: IqRecording, sigma: float | None, rng: np.random.Generator) -> IqRecording:
+    """``clean`` plus complex white noise of total std sigma drawn from rng,
+    as complex64; sigma None adds nothing.
+
+    A fresh np.random.default_rng(seed) in place of clean_baseband's stream
+    gives the capture of the same channel at rng_seed=seed, as long as no
+    interferer phase is "random" (those phases come from the stream too).
+    """
+    samples = clean.samples
+    if sigma is not None:
+        gauss = rng.standard_normal((len(samples), 2))
+        samples = samples + (gauss[:, 0] + 1j * gauss[:, 1]) * (sigma / np.sqrt(2.0))
+    return replace(clean, samples=samples.astype(np.complex64))
+
+
+def capture(
+    leak: LeakSignal,
+    channel: ChannelModel,
+    sample_rate_hz: float = 25e6,
+    center_freq_hz: float | None = None,
+    bandwidth_hz: float = 12.5e6,
+) -> IqRecording:
+    """Simulated SDR acquisition of a leak signal: ``clean_baseband`` then
+    ``add_noise``.
+
+    Deterministic given channel.rng_seed: the seeded stream supplies any
+    "random" interferer phases (in listed order) and then the noise samples.
+    """
+    return add_noise(*clean_baseband(leak, channel, sample_rate_hz, center_freq_hz, bandwidth_hz))
 
 
 def edge_reference(

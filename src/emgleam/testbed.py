@@ -3,7 +3,8 @@
 An attacker model has five dimensions (message, message appearance, attack
 hardware, device profiling, computational resources), all mandatory.  A
 testbed run generates letter/scale stimuli for every profiling session,
-renders each and passes it through ``dataset.simulate``, trains
+renders each letter/scale cell once and passes it through
+``dataset.simulate_seeds`` with the noise seeds of all its items, trains
 the letter classifier over a growing session schedule, and reports
 accuracy per scale plus a per-letter confusion matrix on the held-out
 test sessions.
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .classifier import CnnSpec, TrainConfig, init_model, train
-from .dataset import SPLIT_FRACTIONS, HardwareDim, simulate
+from .dataset import SPLIT_FRACTIONS, HardwareDim, simulate_seeds
 from .emanator import DisplayTiming
 from .errors import StageError, ValidationError
 from .pgmio import write_pgm
@@ -46,6 +47,9 @@ class MessageDim:
         bad = [c for c in self.letters if c not in CHART_LETTERS]
         if bad:
             raise ValidationError(f"message dimension: letters {bad} outside {CHART_LETTERS}")
+        dup = next((c for k, c in enumerate(self.letters) if c in self.letters[:k]), None)
+        if dup is not None:
+            raise ValidationError(f"message dimension: letter {dup} listed twice")
 
 
 @dataclass(frozen=True)
@@ -59,6 +63,10 @@ class AppearanceDim:
         for s in self.scales:
             if not any(float(s) == float(ref) for ref in CHART_SCALES):
                 raise ValidationError(f"appearance dimension: unknown scale {s}")
+        values = [float(s) for s in self.scales]
+        dup = next((v for k, v in enumerate(values) if v in values[:k]), None)
+        if dup is not None:
+            raise ValidationError(f"appearance dimension: scale {dup:g} listed twice")
         if not 0.0 < self.contrast <= 1.0:
             raise ValidationError("appearance dimension: contrast must be in (0, 1]")
 
@@ -278,29 +286,37 @@ class TestbedReport:
         write_pgm(directory / "confusion.pgm", heat)
 
 
-def _collect_session(
+def _collect_sessions(
     spec: AttackerModelSpec,
-    repetitions: int,
-    session_seed: int,
-) -> tuple[np.ndarray, np.ndarray, list[Stimulus]]:
-    profile = spec.hardware.profile
-    stimuli = generate_stimuli(spec, repetitions)
-    letters = spec.message.letters
+    sessions: list[tuple[int, int]],
+) -> list[tuple[np.ndarray, np.ndarray, list[Stimulus]]]:
+    """Images, labels and stimuli of each (repetitions, seed) session.
 
-    images = np.empty((len(stimuli), INPUT_SIDE, INPUT_SIDE), dtype=np.float32)
-    labels = np.empty(len(stimuli), dtype=np.int64)
-    for i, st in enumerate(stimuli):
+    Stimuli are collected raster-outermost: each (letter, scale) cell c is
+    rendered and synthesised once, and its item i = c * repetitions + r of
+    every session draws its noise from derive_seed(seed, "item", i).
+    """
+    profile = spec.hardware.profile
+    scales = spec.appearance.scales
+    out = [
+        (np.empty((len(stimuli), INPUT_SIDE, INPUT_SIDE), dtype=np.float32),
+         np.empty(len(stimuli), dtype=np.int64), stimuli)
+        for stimuli in (generate_stimuli(spec, reps) for reps, _ in sessions)
+    ]
+    for c in range(len(spec.message.letters) * len(scales)):
+        letter, scale = spec.message.letters[c // len(scales)], float(scales[c % len(scales)])
+        items = [(s, c * reps + r) for s, (reps, _) in enumerate(sessions) for r in range(reps)]
         try:
-            raster = render_eyechart(
-                st.letter, st.scale, profile.visible_w, profile.visible_h,
-                contrast=spec.appearance.contrast,
-            )
-            emage = simulate(raster, spec.hardware, derive_seed(session_seed, "item", i))
-            images[i] = _emage_to_input(emage.pixels, profile)
-            labels[i] = letters.index(st.letter)
+            raster = render_eyechart(letter, scale, profile.visible_w, profile.visible_h,
+                                     contrast=spec.appearance.contrast)
+            emages = simulate_seeds(raster, spec.hardware,
+                                    [derive_seed(sessions[s][1], "item", i) for s, i in items])
+            for (s, i), emage in zip(items, emages):
+                out[s][0][i] = _emage_to_input(emage.pixels, profile)
+                out[s][1][i] = c // len(scales)
         except ValidationError as exc:
-            raise StageError("stimulus", f"{st.letter}@{st.scale}: {exc}") from exc
-    return images, labels, stimuli
+            raise StageError("stimulus", f"{letter}@{scale}: {exc}") from exc
+    return out
 
 
 def run_testbed(spec: AttackerModelSpec, seed: int = 0) -> TestbedReport:
@@ -315,14 +331,12 @@ def run_testbed(spec: AttackerModelSpec, seed: int = 0) -> TestbedReport:
     scales = tuple(float(s) for s in spec.appearance.scales)
     n_letters = len(letters)
 
-    train_sessions = [
-        _collect_session(spec, reps, derive_seed(seed, "train-session", j))
-        for j, reps in enumerate(spec.profiling.train_items)
-    ]
-    test_sessions = [
-        _collect_session(spec, reps, derive_seed(seed, "test-session", j))
-        for j, reps in enumerate(spec.profiling.test_items)
-    ]
+    train_items, test_items = spec.profiling.train_items, spec.profiling.test_items
+    collected = _collect_sessions(spec, [
+        *((reps, derive_seed(seed, "train-session", j)) for j, reps in enumerate(train_items)),
+        *((reps, derive_seed(seed, "test-session", j)) for j, reps in enumerate(test_items)),
+    ])
+    train_sessions, test_sessions = collected[: len(train_items)], collected[len(train_items) :]
     x_test = np.concatenate([s[0] for s in test_sessions])
     y_test = np.concatenate([s[1] for s in test_sessions])
     test_stimuli = [st for s in test_sessions for st in s[2]]

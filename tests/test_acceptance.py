@@ -5,6 +5,7 @@ Run with: pytest tests/test_acceptance.py -v -s
 
 import hashlib
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,15 @@ import pytest
 from emgleam.attack import CodeResult, read_code, score, sliding_map
 from emgleam.classifier import CnnSpec, TrainConfig, grad_check, init_model, save_model, train
 from emgleam.dataset import load_items, run_session, simulate
-from emgleam.emanator import ChannelModel, IqRecording, capture, edge_reference, emanate
+from emgleam.emanator import (
+    ChannelModel,
+    IqRecording,
+    add_noise,
+    capture,
+    clean_baseband,
+    edge_reference,
+    emanate,
+)
 from emgleam.raster import LabeledRegion, ScreenRaster, blank_screen, render_symbols
 from emgleam.receiver import ReconParams, am_demod, estimate_frame_rate, measure_snr, reconstruct
 from emgleam.profiles import get_profile
@@ -59,10 +68,15 @@ def test_criterion_02_sync_estimation():
     """Frame-rate error <= 1e-4 relative at 20 dB SNR, 50/50 trials."""
     raster = random_grid_raster(123)
     leak = emanate(raster, LAB_TIMING, LAB_LEAK, frames=3)
+    # one clean baseband, fresh noise per seed: the same recordings as capture's
+    clean, sigma, _ = clean_baseband(leak, ChannelModel(target_snr_db=20.0),
+                                     sample_rate_hz=LAB_FS, bandwidth_hz=LAB_BW)
+    first = capture(leak, ChannelModel(target_snr_db=20.0, rng_seed=0),
+                    sample_rate_hz=LAB_FS, bandwidth_hz=LAB_BW)
+    assert add_noise(clean, sigma, np.random.default_rng(0)).samples.tobytes() == first.samples.tobytes()
     hits = 0
     for seed in range(50):
-        recording = capture(leak, ChannelModel(target_snr_db=20.0, rng_seed=seed),
-                            sample_rate_hz=LAB_FS, bandwidth_hz=LAB_BW)
+        recording = add_noise(replace(clean, seed=seed), sigma, np.random.default_rng(seed))
         estimate = estimate_frame_rate(am_demod(recording), LAB_FS, 60.0, 1000.0)
         hits += abs(estimate - 60.0) / 60.0 <= 1e-4
     assert hits == 50

@@ -368,6 +368,13 @@ class TestTestbedCommand:
         assert "target_snr_db nan must be finite" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    def test_duplicate_letter_spec_rejected(self, tmp_path, capsys):
+        spec = tmp_path / "dup.ini"
+        spec.write_text(TESTBED_SPEC.replace("letters = C,T", "letters = E,E"))
+        assert run(["testbed", "--spec", spec, "-o", tmp_path / "r"]) == 2
+        assert "error: message dimension: letter E listed twice" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("old, new, message", [
         ("scales = 20\n", "scales = 20\ncontrast = abc\n",
          "[message_appearance] contrast = 'abc' is malformed"),

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,9 @@ from emgleam.emanator import (
     IqRecording,
     LeakageModel,
     _component_baseband,
+    add_noise,
     capture,
+    clean_baseband,
     emanate,
     video_waveform,
 )
@@ -217,6 +221,42 @@ class TestCapture:
 
 
 TINY_FS = 25e3  # fs/f_r = 1250/3: 1250 samples span exactly 3 frames
+
+
+class TestCleanNoiseSplit:
+    """capture is exactly clean_baseband followed by add_noise."""
+
+    def test_capture_is_the_composition(self):
+        leak = emanate(random_grid_raster(11), LAB_TIMING, LAB_LEAK)
+        channel = ChannelModel(
+            target_snr_db=15.0, rng_seed=8,
+            interferers=(Interferer(random_grid_raster(12), LAB_TIMING, gain=0.5, phase="random"),),
+        )
+        whole = capture(leak, channel, LAB_FS, bandwidth_hz=LAB_BW)
+        split = add_noise(*clean_baseband(leak, channel, LAB_FS, bandwidth_hz=LAB_BW))
+        assert split.samples.dtype == np.complex64
+        assert whole.samples.tobytes() == split.samples.tobytes()
+        assert whole.sidecar() == split.sidecar()
+
+    def test_one_clean_baseband_serves_many_seeds(self):
+        leak = emanate(random_grid_raster(13), LAB_TIMING, LAB_LEAK, frames=2)
+        channel = ChannelModel(
+            target_snr_db=20.0, interferers=(Interferer(random_grid_raster(14), LAB_TIMING, phase=0.3),),
+        )
+        clean, sigma, _ = clean_baseband(leak, channel, LAB_FS, bandwidth_hz=LAB_BW)
+        for seed in (0, 1, 7, 12345):
+            shared = add_noise(replace(clean, seed=seed), sigma, np.random.default_rng(seed))
+            alone = capture(leak, replace(channel, rng_seed=seed), LAB_FS, bandwidth_hz=LAB_BW)
+            assert shared.samples.tobytes() == alone.samples.tobytes()
+            assert shared.sidecar() == alone.sidecar()
+
+    def test_without_target_snr_no_noise_is_drawn(self):
+        leak = emanate(random_grid_raster(15), LAB_TIMING, LAB_LEAK)
+        clean, sigma, rng = clean_baseband(leak, ChannelModel(rng_seed=3), LAB_FS, bandwidth_hz=LAB_BW)
+        assert sigma is None
+        state = rng.bit_generator.state
+        assert np.array_equal(add_noise(clean, sigma, rng).samples, clean.samples.astype(np.complex64))
+        assert rng.bit_generator.state == state
 
 
 def tiny_frame(seed, f_r=60.0):

@@ -1,7 +1,12 @@
+import numpy as np
 import pytest
 
+from emgleam import testbed
+from emgleam.dataset import simulate
 from emgleam.errors import ValidationError
+from emgleam.raster import render_eyechart
 from emgleam.testbed import (
+    INPUT_SIDE,
     AppearanceDim,
     AttackerModelSpec,
     HardwareDim,
@@ -13,6 +18,7 @@ from emgleam.testbed import (
     parse_spec_file,
     run_testbed,
 )
+from emgleam.util import derive_seed
 
 PANEL = make_panel_profile(128, 192)
 
@@ -83,6 +89,15 @@ class TestSpecValidation:
     def test_unknown_scale_rejected(self):
         with pytest.raises(ValidationError, match="unknown scale"):
             AppearanceDim(scales=(6.0,))
+
+    def test_duplicate_letter_rejected(self):
+        # a repeated letter would be a class that never gets a label
+        with pytest.raises(ValidationError, match="letter E listed twice"):
+            MessageDim(letters="CEE")
+
+    def test_duplicate_scale_rejected(self):
+        with pytest.raises(ValidationError, match="scale 2 listed twice"):
+            AppearanceDim(scales=(2, 10, 2.0))
 
     def test_profiling_needs_sessions(self):
         with pytest.raises(ValidationError, match="sessions"):
@@ -175,3 +190,38 @@ class TestRunTestbed:
         assert csv_lines[0] == "scale,accuracy"
         assert len(csv_lines) == 2
         assert (tmp_path / "confusion.pgm").exists()
+
+
+class TestSharedSynthesis:
+    """The testbed synthesises each letter/scale raster once for all its
+    items; its stimuli must equal one ``simulate`` per item."""
+
+    @pytest.mark.parametrize("snr, coupling", [(20.0, 1.0), (None, 1.0), (25.0, 0.0)])
+    def test_collected_stimuli_match_a_simulate_loop(self, monkeypatch, snr, coupling):
+        # coupling 0 leaves no signal, so the noise sigma falls back to 1
+        spec = tiny_spec(letters="CTZ", scales=(5.0, 20.0), snr=snr, coupling=coupling,
+                         train_items=(2, 1), test_items=(3,), epochs=1)
+        collected = []
+
+        def recording(spec, sessions):
+            out = collect(spec, sessions)
+            collected.extend(out)
+            return out
+
+        collect = testbed._collect_sessions
+        monkeypatch.setattr(testbed, "_collect_sessions", recording)
+        run_testbed(spec, seed=6)
+
+        sessions = [(2, derive_seed(6, "train-session", 0)), (1, derive_seed(6, "train-session", 1)),
+                    (3, derive_seed(6, "test-session", 0))]
+        assert len(collected) == len(sessions)
+        for (reps, session_seed), (images, labels, stimuli) in zip(sessions, collected):
+            want = np.empty((len(stimuli), INPUT_SIDE, INPUT_SIDE), dtype=np.float32)
+            for i, st in enumerate(stimuli):
+                raster = render_eyechart(st.letter, st.scale, PANEL.visible_w, PANEL.visible_h)
+                emage = simulate(raster, spec.hardware, derive_seed(session_seed, "item", i))
+                want[i] = testbed._emage_to_input(emage.pixels, PANEL)
+            assert len(stimuli) == 3 * 2 * reps
+            assert np.array_equal(images, want)
+            assert np.array_equal(labels, ["CTZ".index(st.letter) for st in stimuli])
+            assert labels.dtype == np.int64
