@@ -39,7 +39,6 @@ from .dataset import (
 from .emanator import (
     ChannelModel,
     DisplayTiming,
-    Interferer,
     IqRecording,
     LeakageModel,
     LeakSignal,

@@ -24,23 +24,6 @@ from .receiver import Emage
 from .util import dump_json
 
 
-def _fit_to_input(crop: np.ndarray, hw: tuple[int, int]) -> np.ndarray:
-    """Center-crop/zero-pad a patch to the classifier input shape."""
-    h, w = hw
-    ch, cw = crop.shape
-    if (ch, cw) == (h, w):
-        return crop
-    out = np.zeros((h, w), dtype=crop.dtype)
-    sy = max(0, (ch - h) // 2)
-    sx = max(0, (cw - w) // 2)
-    dy = max(0, (h - ch) // 2)
-    dx = max(0, (w - cw) // 2)
-    hh = min(h, ch)
-    ww = min(w, cw)
-    out[dy : dy + hh, dx : dx + ww] = crop[sy : sy + hh, sx : sx + ww]
-    return out
-
-
 def split_code_region(pixels: np.ndarray) -> list[np.ndarray]:
     """Six equal-width crops, remainder columns appended to the last one."""
     base = pixels.shape[1] // 6
@@ -57,11 +40,18 @@ def read_code(
     """Predict the six digits in the given emage rect.
 
     Returns the predicted code and the per-digit probability vectors.
+    Every crop must have the model's input shape.
     """
     x, y, w, h = region
-    sub = emage.crop(x, y, w, h)
-    crops = split_code_region(sub.pixels)
-    batch = np.stack([_fit_to_input(c, tuple(model.spec.input_hw)) for c in crops])
+    crops = split_code_region(emage.crop(x, y, w, h).pixels)
+    in_hw = tuple(model.spec.input_hw)
+    bad = next((c.shape for c in crops if c.shape != in_hw), None)
+    if bad is not None:
+        raise ValidationError(
+            f"code-region crop {bad[1]}x{bad[0]} does not match the model input "
+            f"{in_hw[1]}x{in_hw[0]} (WxH)"
+        )
+    batch = np.stack(crops)
     labels, probs = model.predict_batch(batch)
     return "".join(str(int(d)) for d in labels), [probs[i] for i in range(6)]
 

@@ -356,8 +356,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ValidationError("epochs and batch_size must be >= 1")
-        if self.learning_rate < 0:
-            raise ValidationError("learning rate must be non-negative")
+        if not 0 <= self.learning_rate < float("inf"):
+            raise ValidationError(f"learning rate {self.learning_rate} must be finite and non-negative")
 
 
 @dataclass

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .emanator import ChannelModel, add_noise, clean_baseband, emanate
+from .emanator import ChannelModel, LeakageModel, add_noise, clean_baseband, emanate
 from .errors import ValidationError
 from .pgmio import read_pgm, write_pgm
 from .profiles import PhoneProfile
@@ -58,14 +58,21 @@ class HardwareDim:
     frames: int = 1
 
     def __post_init__(self):
-        if self.sample_rate_hz <= 0 or self.bandwidth_hz <= 0:
-            raise ValidationError("hardware dimension: rates must be positive")
+        if not (0 < self.sample_rate_hz < math.inf and 0 < self.bandwidth_hz < math.inf):
+            raise ValidationError("hardware dimension: rates must be finite and positive")
         if self.frames < 1:
             raise ValidationError("hardware dimension: frames must be >= 1")
-        if self.target_snr_db is not None and not math.isfinite(self.target_snr_db):
-            raise ValidationError(
-                f"hardware dimension: target_snr_db {self.target_snr_db} must be finite"
-            )
+        try:  # the channel and the leak check their own values
+            self._channel()
+            self._leakage()
+        except ValidationError as exc:
+            raise ValidationError(f"hardware dimension: {exc}") from None
+
+    def _channel(self) -> ChannelModel:
+        return ChannelModel(distance_r=self.distance_r, target_snr_db=self.target_snr_db)
+
+    def _leakage(self) -> LeakageModel:
+        return self.profile.leakage(coupling_gain=self.coupling_gain)
 
 
 def simulate_seeds(
@@ -82,16 +89,15 @@ def simulate_seeds(
     call holds no more than one capture did).
     """
     profile = hardware.profile
-    clean, sigma, _ = clean_baseband(
-        emanate(raster, profile.timing(), profile.leakage(coupling_gain=hardware.coupling_gain),
-                frames=hardware.frames),
-        ChannelModel(distance_r=hardware.distance_r, target_snr_db=hardware.target_snr_db),
+    clean, sigma = clean_baseband(
+        emanate(raster, profile.timing(), hardware._leakage(), frames=hardware.frames),
+        hardware._channel(),
         sample_rate_hz=hardware.sample_rate_hz,
         bandwidth_hz=hardware.bandwidth_hz,
     )
     params = profile.recon_params()
     for k, seed in enumerate(seeds, 1):
-        recording = add_noise(replace(clean, seed=seed), sigma, np.random.default_rng(seed))
+        recording = add_noise(replace(clean, seed=seed), sigma)
         if k == len(seeds):
             del clean
         yield reconstruct(recording, params)

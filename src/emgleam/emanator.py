@@ -7,14 +7,15 @@ modulated onto a carrier at an harmonic of the pixel clock.  ``capture``
 then produces what a software-defined radio tuned near that carrier would
 record: the modulation spectrum band-limited to the capture bandwidth,
 sampled at the ADC rate, attenuated with near-field distance as
-amplitude ~ r^-2.5 (power density ~ r^-5), summed with interferers and
-calibrated complex white noise.
+amplitude ~ r^-2.5 (power density ~ r^-5), plus calibrated complex white
+noise.
 
 ``capture`` is two public steps.  ``clean_baseband`` does everything that
-does not depend on the noise: the synthesis, the interferers and the noise
-calibration.  ``add_noise`` draws the seeded noise and adds it.  A caller
-that records one screen under many noise seeds builds the clean baseband
-once and calls ``add_noise`` per seed (``dataset.simulate_seeds``).
+does not depend on the noise: the synthesis and the noise calibration.
+``add_noise`` draws the noise from the recording's own seed and adds it.
+A caller that records one screen under many noise seeds builds the clean
+baseband once and calls ``add_noise`` on a copy per seed
+(``dataset.simulate_seeds``).
 
 The video frame repeats exactly, so a ``LeakSignal`` holds one frame and
 ``capture`` samples it in the frequency domain: the frame's harmonics sit
@@ -104,8 +105,8 @@ class LeakageModel:
     def __post_init__(self):
         if self.harmonic < 1:
             raise ValidationError("harmonic must be a positive integer")
-        if not self.coupling_gain >= 0.0:
-            raise ValidationError("coupling_gain must be non-negative")
+        if not 0.0 <= self.coupling_gain < math.inf:
+            raise ValidationError(f"coupling_gain {self.coupling_gain} must be finite and non-negative")
         if not 0.0 <= self.highpass_alpha < 1.0:
             raise ValidationError("highpass_alpha must lie in [0, 1)")
 
@@ -114,32 +115,16 @@ class LeakageModel:
 
 
 @dataclass
-class Interferer:
-    """A second display radiating into the same capture.
-
-    ``phase`` is a start-time offset as a fraction of the interferer's own
-    frame; the string "random" draws it from the channel's seeded stream.
-    """
-
-    raster: ScreenRaster
-    timing: DisplayTiming
-    gain: float = 1.0
-    leak: LeakageModel | None = None
-    phase: float | str = 0.0
-
-
-@dataclass
 class ChannelModel:
-    """Probe distance, target in-band SNR and environment."""
+    """Probe distance, target in-band SNR and the noise seed."""
 
     distance_r: float = 1.0
     target_snr_db: float | None = None
-    interferers: tuple = ()
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not self.distance_r > 0:
-            raise ValidationError("distance_r must be positive")
+        if not 0 < self.distance_r < math.inf:
+            raise ValidationError(f"distance_r {self.distance_r} must be finite and positive")
         if self.target_snr_db is not None and not math.isfinite(self.target_snr_db):
             raise ValidationError(f"target_snr_db {self.target_snr_db} must be finite or None")
 
@@ -266,7 +251,6 @@ def _component_baseband(
     sample_rate_hz: float,
     half_band_hz: float,
     n_out: int,
-    phase_frames: float = 0.0,
 ) -> np.ndarray:
     """Band-limited complex baseband of one periodic frame at the ADC rate.
 
@@ -278,7 +262,6 @@ def _component_baseband(
     exactly Q frames of band-limited samples; they are tiled to n_out and
     rotated by the carrier-to-center offset.  When the band spans the full
     sample rate, harmonics fs apart alias onto one bin and are summed.
-    ``phase_frames`` delays the frame by that fraction of its period.
     """
     period = _period(sample_rate_hz, f_r)
     p, q_frames = period.numerator, period.denominator
@@ -291,8 +274,6 @@ def _component_baseband(
         return np.zeros(n_out, dtype=np.complex128)
     harmonic = np.concatenate([pos, -neg])
     coef = np.concatenate([spec[pos], np.conj(spec[neg])]) / len(frame)
-    if phase_frames:
-        coef *= np.exp(-2j * np.pi * harmonic * phase_frames)
 
     bins = np.zeros(p, dtype=np.complex128)
     np.add.at(bins, harmonic * q_frames % p, coef)
@@ -309,17 +290,20 @@ def clean_baseband(
     sample_rate_hz: float = 25e6,
     center_freq_hz: float | None = None,
     bandwidth_hz: float = 12.5e6,
-) -> tuple[IqRecording, float | None, np.random.Generator]:
+) -> tuple[IqRecording, float | None]:
     """The deterministic part of ``capture``.
 
-    Returns the noise-free recording (the distance-scaled composite,
-    interferers included, still complex128), the noise sigma calibrated
-    against it for channel.target_snr_db (None without a target), and the
-    stream seeded by channel.rng_seed, already past any "random" interferer
-    phases (in listed order).  The recording's timing carries the refresh
-    rate actually synthesised, fs*Q/P (see ``_component_baseband``): the
-    leak's own rate whenever fs/f_r is exact.
+    Returns the noise-free recording (the distance-scaled leak, still
+    complex128, its seed channel.rng_seed) and the noise sigma calibrated
+    against it for channel.target_snr_db (None without a target).  The
+    recording's timing carries the refresh rate actually synthesised,
+    fs*Q/P (see ``_component_baseband``): the leak's own rate whenever
+    fs/f_r is exact.
     """
+    if not (0 < sample_rate_hz < math.inf and 0 < bandwidth_hz < math.inf):
+        raise ValidationError(
+            f"sample rate {sample_rate_hz} and bandwidth {bandwidth_hz} must be finite and positive"
+        )
     if center_freq_hz is None:
         center_freq_hz = leak.carrier_hz
     f_off = leak.carrier_hz - center_freq_hz
@@ -330,54 +314,30 @@ def clean_baseband(
         )
     half_band = min(bandwidth_hz, sample_rate_hz) / 2.0
     period = _period(sample_rate_hz, leak.timing.f_r)
-    n_out = round(leak.frames * period)
-    rng = np.random.default_rng(channel.rng_seed)
-
-    composite = _component_baseband(
-        leak.samples, leak.timing.f_r, f_off, sample_rate_hz, half_band, n_out
+    samples = _component_baseband(
+        leak.samples, leak.timing.f_r, f_off, sample_rate_hz, half_band,
+        round(leak.frames * period),
     )
-
-    for interf in channel.interferers:
-        ileak = interf.leak or LeakageModel()
-        isig = emanate(interf.raster, interf.timing, ileak)
-        phase = interf.phase
-        if phase == "random":
-            phase = float(rng.uniform())
-        composite += interf.gain * _component_baseband(
-            isig.samples,
-            interf.timing.f_r,
-            isig.carrier_hz - center_freq_hz,
-            sample_rate_hz,
-            half_band,
-            n_out,
-            phase_frames=float(phase),
-        )
-
-    composite *= channel.amplitude_scale
+    samples *= channel.amplitude_scale
     sigma = (None if channel.target_snr_db is None
-             else calibrate_noise_sigma(composite, sample_rate_hz, channel.target_snr_db))
+             else calibrate_noise_sigma(samples, sample_rate_hz, channel.target_snr_db))
     clean = IqRecording(
         sample_rate_hz=sample_rate_hz,
         center_freq_hz=center_freq_hz,
-        samples=composite,
+        samples=samples,
         frames_contained=leak.frames,
         timing=replace(leak.timing, f_r=float(Fraction(sample_rate_hz) / period)),
         seed=channel.rng_seed,
     )
-    return clean, sigma, rng
+    return clean, sigma
 
 
-def add_noise(clean: IqRecording, sigma: float | None, rng: np.random.Generator) -> IqRecording:
-    """``clean`` plus complex white noise of total std sigma drawn from rng,
-    as complex64; sigma None adds nothing.
-
-    A fresh np.random.default_rng(seed) in place of clean_baseband's stream
-    gives the capture of the same channel at rng_seed=seed, as long as no
-    interferer phase is "random" (those phases come from the stream too).
-    """
+def add_noise(clean: IqRecording, sigma: float | None) -> IqRecording:
+    """``clean`` plus complex white noise of total std sigma drawn from
+    np.random.default_rng(clean.seed), as complex64; sigma None adds nothing."""
     samples = clean.samples
     if sigma is not None:
-        gauss = rng.standard_normal((len(samples), 2))
+        gauss = np.random.default_rng(clean.seed).standard_normal((len(samples), 2))
         samples = samples + (gauss[:, 0] + 1j * gauss[:, 1]) * (sigma / np.sqrt(2.0))
     return replace(clean, samples=samples.astype(np.complex64))
 
@@ -390,11 +350,7 @@ def capture(
     bandwidth_hz: float = 12.5e6,
 ) -> IqRecording:
     """Simulated SDR acquisition of a leak signal: ``clean_baseband`` then
-    ``add_noise``.
-
-    Deterministic given channel.rng_seed: the seeded stream supplies any
-    "random" interferer phases (in listed order) and then the noise samples.
-    """
+    ``add_noise``, deterministic given channel.rng_seed (the noise seed)."""
     return add_noise(*clean_baseband(leak, channel, sample_rate_hz, center_freq_hz, bandwidth_hz))
 
 

@@ -105,8 +105,13 @@ class ResourcesDim:
     learning_rate: float = 0.001
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValidationError("resources dimension: epochs must be >= 1")
+        try:  # checked once, by the training configuration itself
+            self.train_config(seed=0)
+        except ValidationError as exc:
+            raise ValidationError(f"resources dimension: {exc}") from None
+
+    def train_config(self, seed: int) -> TrainConfig:
+        return TrainConfig(self.learning_rate, self.epochs, self.batch_size, seed)
 
 
 @dataclass(frozen=True)
@@ -360,12 +365,7 @@ def run_testbed(spec: AttackerModelSpec, seed: int = 0) -> TestbedReport:
             model,
             (x_pool[tr], y_pool[tr]),
             (x_pool[va], y_pool[va]),
-            TrainConfig(
-                learning_rate=spec.resources.learning_rate,
-                epochs=spec.resources.epochs,
-                batch_size=spec.resources.batch_size,
-                seed=derive_seed(seed, "train", stage_idx),
-            ),
+            spec.resources.train_config(derive_seed(seed, "train", stage_idx)),
         )
         preds = result.model.predict_batch(x_test)[0]
         stages.append({

@@ -69,14 +69,14 @@ def test_criterion_02_sync_estimation():
     raster = random_grid_raster(123)
     leak = emanate(raster, LAB_TIMING, LAB_LEAK, frames=3)
     # one clean baseband, fresh noise per seed: the same recordings as capture's
-    clean, sigma, _ = clean_baseband(leak, ChannelModel(target_snr_db=20.0),
+    clean, sigma = clean_baseband(leak, ChannelModel(target_snr_db=20.0),
                                      sample_rate_hz=LAB_FS, bandwidth_hz=LAB_BW)
     first = capture(leak, ChannelModel(target_snr_db=20.0, rng_seed=0),
                     sample_rate_hz=LAB_FS, bandwidth_hz=LAB_BW)
-    assert add_noise(clean, sigma, np.random.default_rng(0)).samples.tobytes() == first.samples.tobytes()
+    assert add_noise(clean, sigma).samples.tobytes() == first.samples.tobytes()
     hits = 0
     for seed in range(50):
-        recording = add_noise(replace(clean, seed=seed), sigma, np.random.default_rng(seed))
+        recording = add_noise(replace(clean, seed=seed), sigma)
         estimate = estimate_frame_rate(am_demod(recording), LAB_FS, 60.0, 1000.0)
         hits += abs(estimate - 60.0) / 60.0 <= 1e-4
     assert hits == 50

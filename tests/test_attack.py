@@ -6,7 +6,6 @@ import pytest
 from emgleam.attack import (
     ActivationMap,
     CodeResult,
-    _fit_to_input,
     read_code,
     score,
     sliding_map,
@@ -31,14 +30,13 @@ def random_emage(w, h, seed=0):
 
 def per_window_scores(emage, model, window, strides):
     """Reference map: every window cut, split and classified on its own."""
-    in_h, in_w = model.spec.input_hw
     (win_w, win_h), (sx, sy) = window, strides
     rows = []
     for y in range(0, emage.height_px - win_h + 1, sy):
         row = []
         for x in range(0, emage.width_px - win_w + 1, sx):
             pieces = split_code_region(emage.pixels[y : y + win_h, x : x + win_w])
-            probs = model.softmax(np.stack([_fit_to_input(c, (in_h, in_w)) for c in pieces]))
+            probs = model.softmax(np.stack(pieces))
             ent = -np.sum(probs * np.log(np.clip(probs, 1e-12, 1.0)), axis=1)
             row.append(1.0 - ent.mean() / np.log(model.spec.n_classes))
         rows.append(row)
@@ -242,6 +240,13 @@ class TestReadCodeWithTrainedModel:
         model = digit_rig.results["training4"].model
         with pytest.raises(ValidationError):
             read_code(uniform_emage(200, 100), (100, 50, 126, 31), model)
+
+    def test_crop_shape_other_than_the_model_input_rejected(self):
+        model = init_model(CnnSpec((31, 21), 10))
+        with pytest.raises(ValidationError, match="crop 23x31 does not match the model input 21x31"):
+            read_code(uniform_emage(200, 100), (0, 0, 128, 31), model)
+        with pytest.raises(ValidationError, match="crop 21x30 does not match"):
+            read_code(uniform_emage(200, 100), (0, 0, 126, 30), model)
 
     def test_read_code_is_pure(self, digit_rig):
         model = digit_rig.results["training4"].model

@@ -40,6 +40,11 @@ class TestBasics:
         (["--snr", "nan"], "must be finite"),
         (["--snr", "inf"], "must be finite"),
         (["--snr=-inf"], "must be finite"),
+        (["--sample-rate", "nan"], "must be finite and positive"),
+        (["--sample-rate", "inf"], "must be finite and positive"),
+        (["--bandwidth", "nan"], "must be finite and positive"),
+        (["--coupling", "inf"], "coupling_gain inf must be finite and non-negative"),
+        (["--distance", "inf"], "distance_r inf must be finite and positive"),
     ])
     def test_bad_emanate_frames_or_snr_is_validation_error(self, tmp_path, capsys, flags, message):
         assert run(["render", "--message", "123456", "--screen", "540x960",
@@ -150,13 +155,14 @@ class TestGradcheckCommand:
 class TestDatasetCommands:
     def test_session_split_train_attack(self, tmp_path, capsys):
         root = tmp_path / "data"
-        # two tiny grid sessions + one code session on the fastest profile
+        # two 40x40 grid sessions + one code session: a 40x40 grid cell is
+        # one code digit (21x31 on iphone6s)
         for i in range(2):
-            assert run(["session", "--profile", "galaxy_a3", "--kind", "grid",
-                        "--rows", 10, "--cols", 10, "--screens", 1,
+            assert run(["session", "--profile", "iphone6s", "--kind", "grid",
+                        "--rows", 40, "--cols", 40, "--screens", 1,
                         "--id", f"g{i}", "--seed", i, "--snr", "30",
                         "-o", root]) == 0
-        assert run(["session", "--profile", "galaxy_a3", "--kind", "code",
+        assert run(["session", "--profile", "iphone6s", "--kind", "code",
                     "--codes", 2, "--id", "codes0", "--seed", 9, "--snr", "30",
                     "-o", root]) == 0
 
@@ -175,7 +181,7 @@ class TestDatasetCommands:
         assert (tmp_path / "model.bin.history.json").exists()
 
         # fresh code session for the attack
-        assert run(["session", "--profile", "galaxy_a3", "--kind", "code",
+        assert run(["session", "--profile", "iphone6s", "--kind", "code",
                     "--codes", 2, "--id", "codes1", "--seed", 10, "--snr", "30",
                     "-o", root]) == 0
         report_path = tmp_path / "report.json"
@@ -186,6 +192,26 @@ class TestDatasetCommands:
         for key in ("exact_accuracy", "at_least_5_accuracy", "at_least_4_accuracy"):
             assert key in report
         assert (tmp_path / "report.csv").exists()
+
+    def test_attack_with_a_model_of_another_crop_shape_exits_2(self, tmp_path, capsys):
+        # a 10x10 grid cell is 52x96 on galaxy_a3, a code digit 13x24
+        root = tmp_path / "data"
+        for i in range(2):
+            assert run(["session", "--profile", "galaxy_a3", "--kind", "grid",
+                        "--rows", 10, "--cols", 10, "--screens", 1,
+                        "--id", f"g{i}", "--seed", i, "--snr", "30", "-o", root]) == 0
+        assert run(["session", "--profile", "galaxy_a3", "--kind", "code",
+                    "--codes", 2, "--id", "codes0", "--seed", 9, "--snr", "30", "-o", root]) == 0
+        assert run(["split", "--dataset", root, "--schedule", "1",
+                    "--test-sessions", "1", "--seed", 1]) == 0
+        model_path = tmp_path / "model.bin"
+        assert run(["train", "--dataset", root, "--split", root / "splits" / "training1.json",
+                    "--epochs", 1, "--seed", 2, "-o", model_path]) == 0
+        capsys.readouterr()
+        assert run(["attack", "--model", model_path, "--session", root / "sessions" / "codes0",
+                    "-o", tmp_path / "report.json"]) == 2
+        assert "crop 13x24 does not match the model input 52x96" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
 
     def test_data_dir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("EMGLEAM_DATA_DIR", str(tmp_path / "envroot"))
@@ -366,6 +392,24 @@ class TestTestbedCommand:
         spec.write_text(TESTBED_SPEC.replace("target_snr_db = 30", "target_snr_db = nan"))
         assert run(["testbed", "--spec", spec, "-o", tmp_path / "r"]) == 2
         assert "target_snr_db nan must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("target_snr_db = 30", "target_snr_db = 30\ndistance_r = 0", "distance_r 0.0 must be finite and positive"),
+        ("target_snr_db = 30", "target_snr_db = 30\ndistance_r = nan", "distance_r nan must be finite and positive"),
+        ("target_snr_db = 30", "target_snr_db = 30\ncoupling_gain = -1",
+         "coupling_gain -1.0 must be finite and non-negative"),
+        ("target_snr_db = 30", "target_snr_db = 30\ncoupling_gain = inf",
+         "coupling_gain inf must be finite and non-negative"),
+        ("sample_rate_hz = 5e6", "sample_rate_hz = nan", "rates must be finite and positive"),
+        ("bandwidth_hz = 2.5e6", "bandwidth_hz = nan", "rates must be finite and positive"),
+        ("batch_size = 16", "batch_size = 0", "resources dimension: epochs and batch_size must be >= 1"),
+    ])
+    def test_out_of_range_spec_value_rejected(self, tmp_path, capsys, old, new, message):
+        spec = tmp_path / "bad.ini"
+        spec.write_text(TESTBED_SPEC.replace(old, new))
+        assert run(["testbed", "--spec", spec, "-o", tmp_path / "r"]) == 2
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
     def test_duplicate_letter_spec_rejected(self, tmp_path, capsys):

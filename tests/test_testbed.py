@@ -103,6 +103,18 @@ class TestSpecValidation:
         with pytest.raises(ValidationError, match="sessions"):
             ProfilingDim(train_items=(), test_items=(1,))
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"epochs": 0}, "epochs and batch_size must be >= 1"),
+        ({"batch_size": 0}, "epochs and batch_size must be >= 1"),
+        ({"learning_rate": -1.0}, "learning rate -1.0 must be finite and non-negative"),
+        ({"learning_rate": float("nan")}, "learning rate nan must be finite and non-negative"),
+        ({"learning_rate": float("inf")}, "learning rate inf must be finite and non-negative"),
+    ])
+    def test_resources_are_checked_as_a_train_config(self, kwargs, message):
+        # at spec construction, before any stimulus is simulated
+        with pytest.raises(ValidationError, match=f"resources dimension: {message}"):
+            ResourcesDim(**kwargs)
+
     def test_growth_defaults_follow_pairs(self):
         assert ProfilingDim(train_items=(1,) * 10, test_items=(1,)).stages() == (2, 4, 6, 8, 10)
         assert ProfilingDim(train_items=(1,) * 5, test_items=(1,)).stages() == (2, 4, 5)
