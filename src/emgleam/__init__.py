@@ -45,7 +45,6 @@ from .emanator import (
     add_noise,
     capture,
     clean_baseband,
-    edge_reference,
     emanate,
     video_waveform,
 )

@@ -7,10 +7,13 @@ analysis band, in dB.
 
 The estimator is Welch's averaged periodogram (periodic Hann window, half
 overlap, no detrending, two-sided, density scaling), computed directly with
-one batched FFT per block of segments.  Noise calibration needs no search:
-flat noise of mean bin power n raises every bin by n on average and the
-median bin by its median, beta*n, so the predicted SNR is linear in n and
-solved in closed form.
+one batched FFT per block of segments.  Blocks are sized to stay in cache,
+not to bound memory: a block's periodograms land in one reused buffer
+whose first row carries the running sum, so the segments are added one
+after another in index order whatever the blocking.  Noise calibration
+needs no search: flat noise of mean bin power n raises every bin by n on
+average and the median bin by its median, beta*n, so the predicted SNR is
+linear in n and solved in closed form.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import fft, fftfreq, fftshift
 from scipy.special import gammaincinv
 
-_WELCH_BLOCK = 4096  # segments per FFT call; bounds the transient memory
+_WELCH_BLOCK = 128  # segments per FFT call; a block's spectra stay in cache
 
 
 def welch_psd(x: np.ndarray, fs: float, resolution_hz: float):
@@ -35,11 +38,18 @@ def welch_psd(x: np.ndarray, fs: float, resolution_hz: float):
     nperseg = min(max(8, int(round(fs / resolution_hz))), len(x))
     segments = sliding_window_view(x, nperseg)[:: nperseg - nperseg // 2]
     window = np.hanning(nperseg + 1)[:-1]
-    power = np.zeros(nperseg)
+    # row 0 is the running sum, rows 1.. the block's periodograms
+    buf = np.zeros((min(_WELCH_BLOCK, len(segments)) + 1, nperseg))
+    imag2 = np.empty_like(buf[1:])
+    windowed = np.empty(imag2.shape, dtype=np.result_type(x, window))
     for start in range(0, len(segments), _WELCH_BLOCK):
-        spec = fft(segments[start : start + _WELCH_BLOCK] * window, axis=1)
-        power += np.sum(spec.real**2 + spec.imag**2, axis=0)
-    psd = power / (len(segments) * fs * np.sum(window**2))
+        block = segments[start : start + _WELCH_BLOCK]
+        k = len(block)
+        spec = fft(np.multiply(block, window, out=windowed[:k]), axis=1, overwrite_x=True)
+        np.square(spec.real, out=buf[1 : k + 1])
+        buf[1 : k + 1] += np.square(spec.imag, out=imag2[:k])
+        buf[0] = np.add.reduce(buf[: k + 1], axis=0)
+    psd = buf[0] / (len(segments) * fs * np.sum(window**2))
     return fftshift(fftfreq(nperseg, 1.0 / fs)), fftshift(psd), len(segments)
 
 

@@ -39,8 +39,11 @@ _FORMAT_VERSION = 1
 _BETA1 = 0.9
 _BETA2 = 0.999
 _EPS = 1e-8
-#: crops per forward pass at inference; bounds the conv workspace
-INFER_BATCH = 512
+#: crops per forward pass at inference; bounds the conv workspace to that of
+#: a training step at the default batch size, so scoring a set never needs
+#: more memory than training on it (the logits are the same bits at any
+#: chunk size)
+INFER_BATCH = 256
 # grad_check: coordinates probed and the finite-difference step
 _CHECK_COORDS = 200
 _CHECK_STEP = 1e-4

@@ -83,6 +83,12 @@ def _parse_snr(text: str, words: tuple[str, ...]) -> float | None:
         ) from None
 
 
+def _given(value, default):
+    """A flag's value, or default when the flag was left out; a given 0
+    stays 0 and meets the same checks as any other value."""
+    return default if value is None else value
+
+
 # ----------------------------------------------------------------- render
 
 def _cmd_render(args) -> int:
@@ -133,9 +139,9 @@ def _cmd_emanate(args) -> int:
     recording = capture(
         emanate(raster, timing, leak_model, frames=args.frames),
         channel,
-        sample_rate_hz=args.sample_rate or profile.sample_rate_hz,
+        sample_rate_hz=_given(args.sample_rate, profile.sample_rate_hz),
         center_freq_hz=args.center,
-        bandwidth_hz=args.bandwidth or profile.bandwidth_hz,
+        bandwidth_hz=_given(args.bandwidth, profile.bandwidth_hz),
     )
     recording.save(args.output)
     _echo_config(args.output, "emanate", args, {"carrier_hz": leak_model.carrier_hz(timing)})
@@ -154,12 +160,12 @@ def _cmd_reconstruct(args) -> int:
     recording = IqRecording.load(args.recording)
     if args.profile:
         profile = get_profile(args.profile)
-        width = args.width or profile.recon_w
-        height = args.height or profile.recon_h
+        width = _given(args.width, profile.recon_w)
+        height = _given(args.height, profile.recon_h)
     else:
-        width = args.width or recording.timing.x_t
-        height = args.height or recording.timing.y_t
-    f_r = args.frame_rate or recording.timing.f_r
+        width = _given(args.width, recording.timing.x_t)
+        height = _given(args.height, recording.timing.y_t)
+    f_r = _given(args.frame_rate, recording.timing.f_r)
     params = ReconParams(width, height, f_r)
     emage = reconstruct(recording, params)
     emage.save(args.output)

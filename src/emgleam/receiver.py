@@ -33,6 +33,9 @@ _SYNC_THRESHOLD = 0.1
 # below about 3.5 over a thousand columns.
 _EDGE_BLEED = 0.02
 _EDGE_Z = 5.0
+# Grid points interpolated at a time, every frame of a chunk before the
+# next chunk, so the per-point temporaries stay in cache.
+_RECON_CHUNK = 16_384
 
 
 @dataclass(frozen=True)
@@ -120,7 +123,9 @@ def estimate_frame_rate(
 
     Searches integer lags within +/- search_ppm of sample_rate / hint and
     refines the winner by parabolic interpolation of the normalized
-    autocorrelation, computed for all those lags with one FFT.  Raises
+    autocorrelation, computed for all those lags with one FFT
+    cross-correlation of the envelope's head against its tail, each
+    shorter than the envelope by the smallest lag searched.  Raises
     NoSyncError when no lag correlates above the noise floor.
     """
     mag = np.asarray(magnitude, dtype=np.float64)
@@ -138,14 +143,17 @@ def estimate_frame_rate(
     if not np.ptp(mag) > 0:  # a flat envelope has no frame periodicity at all
         raise NoSyncError(f"no frame periodicity near {f_r_hint} Hz (flat envelope)")
     # corr(lag) = a.b / sqrt(a.a * b.b) with a = x[:n - lag], b = x[lag:]:
-    # every a.b from one autocorrelation, zero-padded past n + hi so no lag
-    # wraps, and both energies from one running sum of x^2
+    # every a.b is a shift of x[:n - lo] against x[lo:] by lag - lo, so one
+    # cross-correlation of those two, zero-padded past the longest shift so
+    # none wraps, gives them all; both energies come from one running sum
+    # of x^2
     x = mag - mag.mean()
     n = len(x)
-    nfft = next_fast_len(n + hi + 1, real=True)
-    spec = rfft(x, nfft)
+    nfft = next_fast_len(n + hi - 2 * lo + 1, real=True)
+    spec = rfft(x[lo:], nfft)
+    spec *= np.conj(rfft(x[: n - lo], nfft))
     lags = np.arange(lo, hi + 1)
-    dot = irfft(spec.real**2 + spec.imag**2, nfft)[lags]
+    dot = irfft(spec, nfft)[: hi - lo + 1]
     energy = np.concatenate([[0.0], np.cumsum(x * x)])
     denom = np.sqrt(np.maximum(energy[n - lags] * (energy[n] - energy[lags]), 0.0))
     corr = np.zeros(len(lags))
@@ -228,7 +236,9 @@ def reconstruct(recording: IqRecording, params: ReconParams) -> Emage:
     Sample position of grid cell g in frame i is i*L + g*spp with
     L = fs / f_r and spp = fs / (W*H*f_r); linear interpolation between
     envelope samples, frames averaged in index order, min-max normalized
-    (an all-equal result maps to 0.5).
+    (an all-equal result maps to 0.5).  The grid is interpolated in chunks
+    of _RECON_CHUNK cells, all frames of a chunk at once; every cell still
+    sums its frames in index order.
     """
     if recording.timing is not None:
         sidecar_fr = recording.timing.f_r
@@ -249,13 +259,15 @@ def reconstruct(recording: IqRecording, params: ReconParams) -> Emage:
 
     w, h = params.width_px, params.height_px
     spp = fs / (w * h * params.f_r_hz)
-    grid_pos = np.arange(w * h, dtype=np.float64) * spp
     acc = np.zeros(w * h, dtype=np.float64)
-    for i in range(n_frames):
-        pos = grid_pos + i * frame_len
-        base = np.minimum(np.floor(pos).astype(np.int64), len(mag) - 2)
-        frac = pos - base
-        acc += mag[base] * (1.0 - frac) + mag[base + 1] * frac
+    for start in range(0, w * h, _RECON_CHUNK):
+        grid_pos = np.arange(start, min(start + _RECON_CHUNK, w * h), dtype=np.float64) * spp
+        chunk = acc[start : start + len(grid_pos)]
+        for i in range(n_frames):
+            pos = grid_pos + i * frame_len
+            base = np.minimum(np.floor(pos).astype(np.int64), len(mag) - 2)
+            frac = pos - base
+            chunk += mag[base] * (1.0 - frac) + mag[base + 1] * frac
     avg = (acc / n_frames).reshape(h, w)
 
     start_row = _frame_start_row(avg)

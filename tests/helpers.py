@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from emgleam.dataset import HardwareDim
-from emgleam.emanator import DisplayTiming, LeakageModel
+from emgleam.emanator import DisplayTiming, LeakageModel, _periodic_highpass, video_waveform
 
 # Small panel whose pixel clock (~865 kHz) fits entirely inside the default
 # capture band, so captures are effectively lossless and fast.
@@ -37,3 +37,26 @@ def random_grid_raster(seed: int, rows: int = 3, cols: int = 4):
     rng = np.random.default_rng(seed)
     digits = [str(d) for d in rng.integers(0, 10, rows * cols)]
     return render_digit_grid(rows, cols, digits, LAB_W, LAB_H)
+
+
+def edge_reference(raster, timing: DisplayTiming, leak: LeakageModel, grid_w: int, grid_h: int) -> np.ndarray:
+    """Ideal reconstruction target: |high-passed waveform| on the emage grid.
+
+    The independent reference of the round-trip fidelity checks: it never
+    touches the capture/reconstruction path.
+    """
+    wave = video_waveform(raster, timing)
+    mag = np.abs(_periodic_highpass(wave, leak.highpass_alpha) * leak.coupling_gain)
+    n_p = len(mag)
+    pos = np.arange(grid_w * grid_h, dtype=np.float64) * (n_p / (grid_w * grid_h))
+    base = np.floor(pos).astype(np.int64)
+    frac = pos - base
+    nxt = (base + 1) % n_p
+    ref = mag[base] * (1.0 - frac) + mag[nxt] * frac
+    ref = ref.reshape(grid_h, grid_w)
+    lo, hi = float(ref.min()), float(ref.max())
+    if hi > lo:
+        ref = (ref - lo) / (hi - lo)
+    else:
+        ref = np.full_like(ref, 0.5)
+    return ref.astype(np.float32)

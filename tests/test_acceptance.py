@@ -20,7 +20,6 @@ from emgleam.emanator import (
     add_noise,
     capture,
     clean_baseband,
-    edge_reference,
     emanate,
 )
 from emgleam.raster import LabeledRegion, ScreenRaster, blank_screen, render_symbols
@@ -38,7 +37,16 @@ from emgleam.testbed import (
 )
 from emgleam.util import derive_seed
 
-from helpers import LAB_BW, LAB_FS, LAB_LEAK, LAB_TIMING, ncc, phone_hardware, random_grid_raster
+from helpers import (
+    LAB_BW,
+    LAB_FS,
+    LAB_LEAK,
+    LAB_TIMING,
+    edge_reference,
+    ncc,
+    phone_hardware,
+    random_grid_raster,
+)
 
 
 def announce(num, text):

@@ -45,6 +45,9 @@ class TestBasics:
         (["--bandwidth", "nan"], "must be finite and positive"),
         (["--coupling", "inf"], "coupling_gain inf must be finite and non-negative"),
         (["--distance", "inf"], "distance_r inf must be finite and positive"),
+        # 0 is a value, not "use the profile's rate"
+        (["--sample-rate", 0], "must be finite and positive"),
+        (["--bandwidth", 0], "must be finite and positive"),
     ])
     def test_bad_emanate_frames_or_snr_is_validation_error(self, tmp_path, capsys, flags, message):
         assert run(["render", "--message", "123456", "--screen", "540x960",
@@ -140,6 +143,19 @@ class TestPipeline:
         assert (outdir / index[0]).exists()
         assert sorted(p.name for p in outdir.iterdir()) == sorted(index + ["index.json",
                                                                       "index.json.config.json"])
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--width", 0], "reconstruction grid must be positive"),
+        (["--height", 0], "reconstruction grid must be positive"),
+        (["--frame-rate", 0], "frame rate must be positive"),
+        (["--profile", "galaxy_a3", "--width", 0], "reconstruction grid must be positive"),
+    ])
+    def test_zero_reconstruct_grid_or_rate_is_validation_error(self, pipeline, tmp_path, capsys,
+                                                               flags, message):
+        # 0 is a value, not "use the recording's or the profile's own"
+        assert run(["reconstruct", pipeline / "m.iq", *flags, "-o", tmp_path / "e.pgm"]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "e.pgm").exists()
 
 
 class TestGradcheckCommand:

@@ -3,11 +3,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from scipy.fft import rfft
+
 from emgleam.emanator import (
+    _NOISE_BLOCK,
     ChannelModel,
     DisplayTiming,
     IqRecording,
     LeakageModel,
+    _band_dft,
     _component_baseband,
     add_noise,
     capture,
@@ -18,6 +22,7 @@ from emgleam.emanator import (
 from emgleam.errors import TuningError, ValidationError
 from emgleam.profiles import PROFILES, get_profile
 from emgleam.raster import ScreenRaster, blank_screen
+from emgleam.testbed import make_panel_profile
 
 from helpers import LAB_BW, LAB_FS, LAB_LEAK, LAB_TIMING, LAB_H, LAB_W, random_grid_raster
 
@@ -226,6 +231,20 @@ class TestCleanNoiseSplit:
         assert np.array_equal(noiseless.samples, clean.samples.astype(np.complex64))
 
 
+    def test_blockwise_noise_equals_one_draw(self):
+        # a length that is not a multiple of the draw block
+        n = 3 * _NOISE_BLOCK + 123
+        rng = np.random.default_rng(1)
+        samples = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        clean = IqRecording(25e6, 0.0, samples, 1, LAB_TIMING, seed=42)
+        sigma = 0.37
+        gauss = np.random.default_rng(42).standard_normal((n, 2))
+        want = (samples + (gauss[:, 0] + 1j * gauss[:, 1]) * (sigma / np.sqrt(2.0))).astype(np.complex64)
+        got = add_noise(clean, sigma).samples
+        assert got.dtype == np.complex64
+        assert got.tobytes() == want.tobytes()
+
+
 def tiny_frame(seed, f_r=60.0):
     timing = DisplayTiming(20, 12, f_r, 16, 10)
     rng = np.random.default_rng(seed)
@@ -283,6 +302,35 @@ class TestExactSynthesis:
         leak = emanate(blank_screen(timing.visible_w, timing.visible_h), timing, profile.leakage())
         rec = capture(leak, ChannelModel(), profile.sample_rate_hz, bandwidth_hz=profile.bandwidth_hz)
         assert rec.timing == leak.timing
+
+
+FRAME_LENGTHS = {name: p.x_t * p.y_t
+                 for name, p in [*PROFILES.items(), ("panel128x192", make_panel_profile(128, 192))]}
+
+
+class TestBandDft:
+    @pytest.mark.parametrize("name", sorted(FRAME_LENGTHS))
+    def test_matches_the_full_rfft(self, name):
+        n = FRAME_LENGTHS[name]
+        frame = np.random.default_rng(n).standard_normal(n)
+        full = rfft(frame)
+        # a phone's 12.5 MHz band at 60 Hz, a tiny band, and the full band
+        for k_max in sorted({min(104168, (n - 1) // 2), 3, (n - 1) // 2, n // 2}):
+            got = _band_dft(frame, k_max)
+            assert got.shape == (k_max + 1,)
+            assert rel_err(got, full[: k_max + 1]) <= 1e-13, k_max
+
+    def test_phone_synthesis_through_the_band_dft(self):
+        # an iphone6s frame (largest prime factor 283) takes the pruned path
+        profile = get_profile("iphone6s")
+        timing = profile.timing()
+        rng = np.random.default_rng(5)
+        lum = rng.random((timing.visible_h, timing.visible_w)).astype(np.float32)
+        frame = emanate(ScreenRaster(timing.visible_w, timing.visible_h, lum, []), timing,
+                        profile.leakage()).samples
+        args = (frame, 60.0, 3e5, 25e6, 6.25e6, 416667)
+        k = np.array([0, 1, 77_777, 208_333, 416_666])
+        assert rel_err(_component_baseband(*args)[k], harmonic_sum(*args[:5], k)) <= 1e-9
 
 
 class TestSnrCalibrationRange:

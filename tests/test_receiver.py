@@ -3,8 +3,9 @@ import warnings
 import numpy as np
 import pytest
 
+from emgleam import receiver
 from emgleam.dataset import simulate
-from emgleam.emanator import ChannelModel, IqRecording, capture, edge_reference, emanate
+from emgleam.emanator import ChannelModel, IqRecording, capture, emanate
 from emgleam.errors import NoSyncError, ValidationError
 from emgleam.receiver import (
     Emage,
@@ -19,7 +20,8 @@ from emgleam.raster import ScreenRaster, blank_screen, paste, render_digit_grid
 from emgleam.util import derive_seed
 
 from helpers import (
-    LAB_BW, LAB_FS, LAB_LEAK, LAB_TIMING, LAB_H, LAB_W, ncc, phone_hardware, random_grid_raster,
+    LAB_BW, LAB_FS, LAB_LEAK, LAB_TIMING, LAB_H, LAB_W, edge_reference, ncc, phone_hardware,
+    random_grid_raster,
 )
 
 
@@ -102,6 +104,19 @@ class TestEstimateFrameRate:
         ref = per_lag_frame_rate(mag, LAB_FS, 60.0, 1000.0)
         assert abs(est - ref) / ref <= 1e-12
 
+    def test_phone_capture_matches_per_lag_reference(self):
+        # 3 iphone6s frames: the correlated head and tail are 833k samples
+        # long, against the lab panel's 83k
+        ip = get_profile("iphone6s")
+        screen = render_digit_grid(40, 40, [str(d % 10) for d in range(1600)], ip.visible_w, ip.visible_h)
+        leak = emanate(screen, ip.timing(), ip.leakage(), frames=3)
+        rec = capture(leak, ChannelModel(target_snr_db=25.0, rng_seed=3), ip.sample_rate_hz,
+                      bandwidth_hz=ip.bandwidth_hz)
+        mag = am_demod(rec)
+        est = estimate_frame_rate(mag, ip.sample_rate_hz, ip.f_r)
+        ref = per_lag_frame_rate(mag, ip.sample_rate_hz, ip.f_r)
+        assert abs(est - ref) / ref <= 1e-12
+
     @pytest.mark.parametrize("level", [0.5, 1 / 3])
     def test_flat_envelope_has_no_sync(self, level):
         # 1/3 does not survive mean subtraction exactly: a constant residue
@@ -168,6 +183,22 @@ class TestReconstruct:
         drift = np.polyfit(rows, shifts, 1)[0]
         expected = LAB_TIMING.x_t * eps / (1 + eps)
         assert drift == pytest.approx(expected, abs=0.02)
+
+    def test_chunked_grid_equals_one_chunk(self, monkeypatch):
+        # the iphone6s grid is 83 chunks and 7,018 cells
+        ip = get_profile("iphone6s")
+        n = round(3 * ip.sample_rate_hz / ip.f_r)
+        rng = np.random.default_rng(9)
+        samples = (rng.standard_normal(n) + 1j * rng.standard_normal(n)).astype(np.complex64)
+        rec = IqRecording(ip.sample_rate_hz, 0.0, samples, 3, ip.timing(), 0)
+        params = ip.recon_params()
+        cells = params.width_px * params.height_px
+        assert cells > receiver._RECON_CHUNK and cells % receiver._RECON_CHUNK
+        chunked = reconstruct(rec, params)
+        monkeypatch.setattr(receiver, "_RECON_CHUNK", cells)
+        whole = reconstruct(rec, params)
+        assert chunked.frames_averaged == whole.frames_averaged == 3
+        assert np.array_equal(chunked.pixels, whole.pixels)
 
     def test_too_short_rejected(self):
         rec = fake_recording(np.ones(1000))

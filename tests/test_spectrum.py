@@ -5,10 +5,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import signal as sp_signal
+from scipy.fft import fft, fftshift
 
 import emgleam
-from emgleam._spectrum import calibrate_noise_sigma, median_bias, welch_psd
+from emgleam._spectrum import _WELCH_BLOCK, calibrate_noise_sigma, median_bias, welch_psd
 from emgleam.emanator import ChannelModel, capture, emanate
 
 from helpers import LAB_BW, LAB_FS, LAB_LEAK, LAB_TIMING, random_grid_raster
@@ -37,6 +39,22 @@ def test_welch_matches_scipy(n, fs, resolution_hz, complex_input):
     assert np.array_equal(freqs, ref_f[order])
     assert np.max(np.abs(psd - ref_psd[order]) / ref_psd[order]) <= 1e-13
     assert n_segments == len(segment_times)
+
+
+def test_blocked_welch_equals_one_block():
+    # more than three blocks of segments, the last one partial
+    n_segments = 3 * _WELCH_BLOCK + 37
+    nperseg, fs = 40, 1e3
+    rng = np.random.default_rng(4)
+    n = (nperseg // 2) * (n_segments - 1) + nperseg
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    _, psd, k = welch_psd(x, fs, fs / nperseg)
+    assert k == n_segments
+
+    window = np.hanning(nperseg + 1)[:-1]
+    spec = fft(sliding_window_view(x, nperseg)[:: nperseg // 2] * window, axis=1)
+    power = np.sum(spec.real**2 + spec.imag**2, axis=0)
+    assert np.array_equal(psd, fftshift(power / (n_segments * fs * np.sum(window**2))))
 
 
 def lab_clean():
