@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.fft import fft, fftfreq, fftshift
+from scipy.fft import fft, fftfreq, fftshift, rfft
 from scipy.special import gammaincinv
 
 _WELCH_BLOCK = 128  # segments per FFT call; a block's spectra stay in cache
@@ -32,24 +32,31 @@ def welch_psd(x: np.ndarray, fs: float, resolution_hz: float):
     Segments of round(fs / resolution_hz) samples (at least 8, at most
     len(x)) start every half segment; a trailing partial segment is dropped.
     Returns (freqs, psd, n_segments) with frequencies sorted ascending
-    (fftshifted), covering [-fs/2, fs/2).
+    (fftshifted), covering [-fs/2, fs/2).  A real input's spectrum is
+    symmetric: its segments are transformed by rfft and bins above
+    nperseg // 2 mirror those below.
     """
     x = np.asarray(x)
     nperseg = min(max(8, int(round(fs / resolution_hz))), len(x))
     segments = sliding_window_view(x, nperseg)[:: nperseg - nperseg // 2]
     window = np.hanning(nperseg + 1)[:-1]
+    real = not np.iscomplexobj(x)
+    transform, width = (rfft, nperseg // 2 + 1) if real else (fft, nperseg)
     # row 0 is the running sum, rows 1.. the block's periodograms
-    buf = np.zeros((min(_WELCH_BLOCK, len(segments)) + 1, nperseg))
+    buf = np.zeros((min(_WELCH_BLOCK, len(segments)) + 1, width))
     imag2 = np.empty_like(buf[1:])
-    windowed = np.empty(imag2.shape, dtype=np.result_type(x, window))
+    windowed = np.empty((len(imag2), nperseg), dtype=np.result_type(x, window))
     for start in range(0, len(segments), _WELCH_BLOCK):
         block = segments[start : start + _WELCH_BLOCK]
         k = len(block)
-        spec = fft(np.multiply(block, window, out=windowed[:k]), axis=1, overwrite_x=True)
+        spec = transform(np.multiply(block, window, out=windowed[:k]), axis=1, overwrite_x=True)
         np.square(spec.real, out=buf[1 : k + 1])
         buf[1 : k + 1] += np.square(spec.imag, out=imag2[:k])
         buf[0] = np.add.reduce(buf[: k + 1], axis=0)
-    psd = buf[0] / (len(segments) * fs * np.sum(window**2))
+    total = buf[0]
+    if real:
+        total = np.concatenate([total, total[nperseg - width : 0 : -1]])
+    psd = total / (len(segments) * fs * np.sum(window**2))
     return fftshift(fftfreq(nperseg, 1.0 / fs)), fftshift(psd), len(segments)
 
 
@@ -101,7 +108,7 @@ def calibrate_noise_sigma(
     sigma saturates at 1e9 and 1e-9 times sqrt(peak * fs).  A zero signal
     has no defined SNR; sigma falls back to 1.
     """
-    _, psd, k = welch_psd(np.asarray(clean, dtype=np.complex128), fs, resolution_hz)
+    _, psd, k = welch_psd(clean, fs, resolution_hz)
     p_pk = float(np.max(psd)) if psd.size else 0.0
     if p_pk <= 0.0:
         return 1.0

@@ -11,7 +11,10 @@ Between the input check and the flatten, activations are channel-major
 (C, N, H, W) maps, so each convolution's matrix product is its output
 without a transposed copy.  A training step computes only gradients that
 are read: the first convolution's backward stops at its weights and bias,
-since nothing reads the gradient of the input crops.
+since nothing reads the gradient of the input crops.  Inference
+(``CnnModel.logits``) runs each layer's ``infer``, the same arithmetic as
+``forward`` without the records only backward reads: no patch matrix, ReLU
+mask or pooling index outlives its layer.
 
 Flatten sizes per standard input (channels 6/16, dense 120/84):
 31x21 -> 128, 31x20 -> 128, 45x21 -> 256.
@@ -129,16 +132,25 @@ class _Conv:
     grads = property(lambda self: [self.gw, self.gb])
     fan_in = property(lambda self: self.w.shape[1] * self.k * self.k)
 
-    def forward(self, x):
+    def _apply(self, x):
+        """The output and the patch matrix it was computed from."""
         c, n, h, w = x.shape
         k = self.k
         oh, ow = h - k + 1, w - k + 1
-        self._x_shape = x.shape
         windows = sliding_window_view(x, (k, k), axis=(2, 3))  # (C, N, OH, OW, k, k)
-        self._cols = windows.transpose(0, 4, 5, 1, 2, 3).reshape(c * k * k, n * oh * ow)
-        out = self.w.reshape(self.w.shape[0], -1) @ self._cols  # (F, N*OH*OW)
+        cols = windows.transpose(0, 4, 5, 1, 2, 3).reshape(c * k * k, n * oh * ow)
+        out = self.w.reshape(self.w.shape[0], -1) @ cols  # (F, N*OH*OW)
         out += self.b[:, None]
-        return out.reshape(-1, n, oh, ow)
+        return out.reshape(-1, n, oh, ow), cols
+
+    def infer(self, x):
+        return self._apply(x)[0]
+
+    def forward(self, x):
+        self._x_shape = x.shape
+        self._cols = None  # the last step's patch matrix goes before this one is built
+        out, self._cols = self._apply(x)
+        return out
 
     def param_grads(self, g):
         gm = g.reshape(g.shape[0], -1)
@@ -178,12 +190,16 @@ class _MaxPool2:
     def _quadrants(a, h2, w2):
         return [a[:, :, i : 2 * h2 : 2, j : 2 * w2 : 2] for i in (0, 1) for j in (0, 1)]
 
-    def forward(self, x):
-        self._in_shape = x.shape
+    def infer(self, x):
         q0, q1, q2, q3 = self._quadrants(x, x.shape[2] // 2, x.shape[3] // 2)
         out = np.maximum(q0, q1)
         np.maximum(out, q2, out=out)
-        np.maximum(out, q3, out=out)
+        return np.maximum(out, q3, out=out)
+
+    def forward(self, x):
+        self._in_shape = x.shape
+        out = self.infer(x)
+        q0, q1, q2, _ = self._quadrants(x, x.shape[2] // 2, x.shape[3] // 2)
         # the first maximum's index counts the quadrants before it that miss
         miss = q0 != out
         self._first = miss.astype(np.uint8)
@@ -204,6 +220,10 @@ class _Relu:
     params = property(lambda self: [])
     grads = property(lambda self: [])
 
+    @staticmethod
+    def infer(x):
+        return np.multiply(x, x > 0, out=x)  # x is its layer's fresh output
+
     def forward(self, x):
         self._mask = x > 0
         return x * self._mask
@@ -218,9 +238,13 @@ class _Flatten:
     params = property(lambda self: [])
     grads = property(lambda self: [])
 
+    @staticmethod
+    def infer(x):
+        return x.transpose(1, 0, 2, 3).reshape(x.shape[1], -1)
+
     def forward(self, x):
         self._shape = x.shape
-        return x.transpose(1, 0, 2, 3).reshape(x.shape[1], -1)
+        return self.infer(x)
 
     def backward(self, g):
         c, n, h, w = self._shape
@@ -236,9 +260,12 @@ class _Dense:
     grads = property(lambda self: [self.gw, self.gb])
     fan_in = property(lambda self: self.w.shape[0])
 
+    def infer(self, x):
+        return x @ self.w + self.b
+
     def forward(self, x):
         self._x = x
-        return x @ self.w + self.b
+        return self.infer(x)
 
     def backward(self, g):
         self.gw = self._x.T @ g
@@ -319,13 +346,19 @@ class CnnModel:
                 p[...] = flat[pos : pos + p.size].reshape(p.shape)
                 pos += p.size
 
+    def _infer(self, x: np.ndarray) -> np.ndarray:
+        out = self._check_input(x)
+        for lay in self.layers:
+            out = lay.infer(out)
+        return out
+
     def logits(self, x: np.ndarray) -> np.ndarray:
-        """``forward`` INFER_BATCH crops at a time, for inference only: the
-        layers keep the cached inputs of the last chunk alone."""
+        """``forward``'s logits, INFER_BATCH crops at a time, through the
+        layers' record-free ``infer``: the same bits at any chunk size."""
         x = np.asarray(x)
         x = x[None] if x.ndim == 2 else x
-        # at least one chunk, so that an empty batch meets forward's check
-        return np.concatenate([self.forward(x[i : i + INFER_BATCH])
+        # at least one chunk, so that an empty batch meets the input check
+        return np.concatenate([self._infer(x[i : i + INFER_BATCH])
                                for i in range(0, max(len(x), 1), INFER_BATCH)])
 
     def softmax(self, x: np.ndarray) -> np.ndarray:

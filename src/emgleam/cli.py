@@ -287,7 +287,10 @@ def _cmd_train(args) -> int:
     ts = load_training_set(args.split)
     x_train, y_train, _ = load_items(root, ts.train)
     x_val, y_val, _ = load_items(root, ts.val)
-    spec = CnnSpec(input_hw=x_train.shape[1:], n_classes=args.classes)
+    try:
+        spec = CnnSpec(input_hw=x_train.shape[1:], n_classes=args.classes)
+    except ValidationError:  # crops too small for two 5x5 convolutions (galaxy_a3's 24x13)
+        spec = CnnSpec(input_hw=x_train.shape[1:], n_classes=args.classes, kernel=3)
     model = init_model(spec, seed=derive_seed(args.seed, "init"))
     result = train(
         model, (x_train, y_train), (x_val, y_val),

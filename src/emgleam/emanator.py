@@ -25,11 +25,19 @@ of the frame (``_band_dft``): a 12.5 MHz band at 60 Hz keeps about 104k of
 an iphone6s frame's 586k.  With fs/f_r = P/Q in lowest terms, P ADC
 samples span exactly Q frames, so one P-point inverse FFT with harmonic q
 at bin q*Q mod P gives the exact band-limited samples, tiled to the
-capture length.  fs/f_r is such a
-fraction for every built-in rate (1250000/3 at 25 MS/s and 60 Hz); any
-other rate is snapped to the nearest fraction with P <= ~2^22 (59.94 Hz at
-25 MS/s becomes 59.94000005994 Hz), and the recording's timing carries the
-rate actually synthesised.
+capture length.  fs/f_r is such a fraction for every built-in rate
+(1250000/3 at 25 MS/s and 60 Hz); any other rate is snapped to the nearest
+fraction with P <= ~2^22 (59.94 Hz at 25 MS/s becomes 59.94000005994 Hz),
+and the recording's timing carries the rate actually synthesised.
+
+Tuned to the carrier (the default, used by sessions and the testbed), the
+band is symmetric about it and harmonic -q is the conjugate of q, so the
+baseband is real: one real inverse FFT of the half spectrum synthesises it
+at about half the cost, the clean baseband is float64, its noise
+calibration runs a real Welch and ``add_noise`` adds it to I.  A capture
+tuned off the carrier (``emanate --center``) takes the complex transform.
+An inverse pruned to the nonzero input bins gains nothing: with
+P = 1,250,000 = 2^4 * 5^8 and Q = 3 the kept bins align with no FFT stage.
 """
 
 from __future__ import annotations
@@ -299,6 +307,15 @@ def _band_dft(frame: np.ndarray, k_max: int) -> np.ndarray:
     return out.T.reshape(-1)[: k_max + 1]
 
 
+def _frame_spectrum(frame: np.ndarray, k_max: int) -> np.ndarray:
+    """rfft(frame)[:k_max + 1]: by ``_band_dft`` when the frame length has
+    a large prime factor (every built-in phone), else by rfft."""
+    prime = _largest_prime_factor(len(frame))
+    if _PRUNE_P[0] <= prime <= _PRUNE_P[1] and 4 * (k_max // (len(frame) // prime) + 1) <= prime:
+        return _band_dft(frame, k_max)
+    return rfft(frame)[: k_max + 1]
+
+
 def _component_baseband(
     frame: np.ndarray,
     f_r: float,
@@ -317,22 +334,32 @@ def _component_baseband(
     exactly Q frames of band-limited samples; they are tiled to n_out and
     rotated by the carrier-to-center offset.  When the band spans the full
     sample rate, harmonics fs apart alias onto one bin and are summed.
-    Only harmonics up to the band edge are transformed: ``_band_dft`` when
-    the frame length has a large prime factor (every built-in phone), else
-    rfft; a phone band keeps about a sixth of the frame's bins.
+    Only harmonics up to the band edge are transformed (``_frame_spectrum``);
+    a phone band keeps about a sixth of the frame's bins.  Tuned to the
+    carrier (f_offset_hz 0) the band is symmetric, the bins Hermitian and
+    the baseband real: it is synthesised by one P-point irfft and returned
+    as float64, otherwise as complex128.
     """
     period = _period(sample_rate_hz, f_r)
     p, q_frames = period.numerator, period.denominator
     f_r = float(Fraction(sample_rate_hz) / period)  # the rate synthesised
     # no harmonic past k_max reaches the band; the shared Nyquist bin is dropped
     k_max = min(math.ceil((half_band_hz + abs(f_offset_hz)) / f_r) + 1, (len(frame) - 1) // 2)
-    prime = _largest_prime_factor(len(frame))
-    if _PRUNE_P[0] <= prime <= _PRUNE_P[1] and 4 * (k_max // (len(frame) // prime) + 1) <= prime:
-        spec = _band_dft(frame, k_max)
-    else:
-        spec = rfft(frame)[: k_max + 1]
+    spec = _frame_spectrum(frame, k_max)
     q = np.arange(k_max + 1)
     pos = q[np.abs(q * f_r + f_offset_hz) <= half_band_hz]
+    if not f_offset_hz:
+        # -q is kept with q, as its conjugate: the bins are Hermitian, so one
+        # half spectrum and irfft.  No kept harmonic passes fs/2, so q sits
+        # at bin q*Q <= P/2 and -q at its mirror; only at fs/2 do the two
+        # meet, on bin P/2, as 2*Re
+        j = pos * q_frames
+        half = np.zeros(p // 2 + 1, dtype=np.complex128)
+        half[j] = spec[pos] / len(frame)
+        if 2 * j[-1] == p:
+            half[-1] = 2.0 * half[-1].real
+        out = irfft(half, p, norm="forward")
+        return out if n_out == p else np.resize(out, n_out)
     neg = q[1:][np.abs(f_offset_hz - q[1:] * f_r) <= half_band_hz]
     if not (len(pos) or len(neg)):
         return np.zeros(n_out, dtype=np.complex128)
@@ -342,9 +369,8 @@ def _component_baseband(
     bins = np.zeros(p, dtype=np.complex128)
     np.add.at(bins, harmonic * q_frames % p, coef)
     out = np.resize(ifft(bins, norm="forward"), n_out)
-    if f_offset_hz:
-        t = np.arange(n_out, dtype=np.float64) / sample_rate_hz
-        out *= np.exp(2j * np.pi * f_offset_hz * t)
+    t = np.arange(n_out, dtype=np.float64) / sample_rate_hz
+    out *= np.exp(2j * np.pi * f_offset_hz * t)
     return out
 
 
@@ -357,8 +383,9 @@ def clean_baseband(
 ) -> tuple[IqRecording, float | None]:
     """The deterministic part of ``capture``.
 
-    Returns the noise-free recording (the distance-scaled leak, still
-    complex128, its seed channel.rng_seed) and the noise sigma calibrated
+    Returns the noise-free recording (the distance-scaled leak, its seed
+    channel.rng_seed; float64 samples when tuned to the carrier, whose
+    baseband is real, else complex128) and the noise sigma calibrated
     against it for channel.target_snr_db (None without a target).  The
     recording's timing carries the refresh rate actually synthesised,
     fs*Q/P (see ``_component_baseband``): the leak's own rate whenever
@@ -403,12 +430,15 @@ def add_noise(clean: IqRecording, sigma: float | None) -> IqRecording:
     Sample k gets the normals 2k and 2k+1 of that generator as its I and Q
     noise.  They are drawn _NOISE_BLOCK samples at a time into one reused
     buffer, which yields the same stream as one draw of the whole length,
-    and each block is scaled, added to the clean samples and rounded to
-    complex64 in place.
+    and each block is scaled, added to the clean samples (to I alone when
+    they are real) and rounded to complex64 in place.
     """
     if sigma is None:
         return replace(clean, samples=clean.samples.astype(np.complex64))
-    iq = np.ascontiguousarray(clean.samples, dtype=np.complex128).view(np.float64).reshape(-1, 2)
+    if np.iscomplexobj(clean.samples):
+        iq = np.ascontiguousarray(clean.samples, dtype=np.complex128).view(np.float64).reshape(-1, 2)
+    else:  # a real baseband: I alone
+        iq = np.asarray(clean.samples, dtype=np.float64)[:, None]
     out = np.empty(len(iq), dtype=np.complex64)
     out_iq = out.view(np.float32).reshape(-1, 2)
     rng = np.random.default_rng(clean.seed)
@@ -419,7 +449,7 @@ def add_noise(clean: IqRecording, sigma: float | None) -> IqRecording:
         gauss = buf[: stop - start]
         rng.standard_normal(out=gauss)
         gauss *= scale
-        gauss += iq[start:stop]
+        gauss[:, : iq.shape[1]] += iq[start:stop]
         out_iq[start:stop] = gauss
     return replace(clean, samples=out)
 

@@ -36,6 +36,11 @@ _EDGE_Z = 5.0
 # Grid points interpolated at a time, every frame of a chunk before the
 # next chunk, so the per-point temporaries stay in cache.
 _RECON_CHUNK = 16_384
+# Samples demodulated at a time through one reused complex128 buffer.
+_DEMOD_BLOCK = 16_384
+# Head samples per overlap-save block of the sync cross-correlation; a
+# block's transforms stay in cache.
+_SYNC_BLOCK = 8_192
 
 
 @dataclass(frozen=True)
@@ -107,10 +112,23 @@ class Emage:
 
 
 def am_demod(recording: IqRecording) -> np.ndarray:
-    """Envelope of the complex baseband: sqrt(I^2 + Q^2)."""
-    if len(recording.samples) == 0:
+    """Envelope of the complex baseband: sqrt(I^2 + Q^2), taken in complex128.
+
+    _DEMOD_BLOCK samples at a time are converted into one reused buffer,
+    so no whole-length complex128 copy is made; the bits are those of
+    np.abs on the converted recording.
+    """
+    samples = recording.samples
+    if len(samples) == 0:
         raise ValidationError("empty recording")
-    return np.abs(np.asarray(recording.samples, dtype=np.complex128))
+    out = np.empty(len(samples))
+    buf = np.empty(min(_DEMOD_BLOCK, len(samples)), dtype=np.complex128)
+    for start in range(0, len(samples), _DEMOD_BLOCK):
+        stop = min(start + _DEMOD_BLOCK, len(samples))
+        block = buf[: stop - start]
+        block[...] = samples[start:stop]
+        np.abs(block, out=out[start:stop])
+    return out
 
 
 def estimate_frame_rate(
@@ -123,10 +141,12 @@ def estimate_frame_rate(
 
     Searches integer lags within +/- search_ppm of sample_rate / hint and
     refines the winner by parabolic interpolation of the normalized
-    autocorrelation, computed for all those lags with one FFT
+    autocorrelation.  The dot products for all those lags are one
     cross-correlation of the envelope's head against its tail, each
-    shorter than the envelope by the smallest lag searched.  Raises
-    NoSyncError when no lag correlates above the noise floor.
+    shorter than the envelope by the smallest lag searched, computed by
+    overlap-save in blocks of _SYNC_BLOCK head samples; the energies need
+    running sums over the search window only.  Raises NoSyncError when no
+    lag correlates above the noise floor.
     """
     mag = np.asarray(magnitude, dtype=np.float64)
     lag0 = sample_rate_hz / f_r_hint
@@ -143,19 +163,27 @@ def estimate_frame_rate(
     if not np.ptp(mag) > 0:  # a flat envelope has no frame periodicity at all
         raise NoSyncError(f"no frame periodicity near {f_r_hint} Hz (flat envelope)")
     # corr(lag) = a.b / sqrt(a.a * b.b) with a = x[:n - lag], b = x[lag:]:
-    # every a.b is a shift of x[:n - lo] against x[lo:] by lag - lo, so one
-    # cross-correlation of those two, zero-padded past the longest shift so
-    # none wraps, gives them all; both energies come from one running sum
-    # of x^2
+    # every a.b is a shift of the head x[:n - lo] against the tail x[lo:] by
+    # s = lag - lo <= w.  Head block [i, i + B) meets tail samples
+    # [i, i + B + w), so one correlation of the two at a length of at least
+    # B + w, where no shift wraps, gives the block's share of every a.b; the
+    # blocks' cross-spectra add up to that of the whole, inverted once
     x = mag - mag.mean()
     n = len(x)
-    nfft = next_fast_len(n + hi - 2 * lo + 1, real=True)
-    spec = rfft(x[lo:], nfft)
-    spec *= np.conj(rfft(x[: n - lo], nfft))
+    w, m = hi - lo, n - lo
+    nfft = next_fast_len(min(_SYNC_BLOCK, m) + w, real=True)
+    spec = np.zeros(nfft // 2 + 1, dtype=np.complex128)
+    for i in range(0, m, _SYNC_BLOCK):
+        cross = rfft(x[lo + i : lo + i + _SYNC_BLOCK + w], nfft)
+        cross *= rfft(x[i : min(i + _SYNC_BLOCK, m)], nfft).conj()
+        spec += cross
+    dot = irfft(spec, nfft)[: w + 1]
     lags = np.arange(lo, hi + 1)
-    dot = irfft(spec, nfft)[: hi - lo + 1]
-    energy = np.concatenate([[0.0], np.cumsum(x * x)])
-    denom = np.sqrt(np.maximum(energy[n - lags] * (energy[n] - energy[lags]), 0.0))
+    # a.a sums x^2 below n - lag and b.b from lag on: a dot product over the
+    # samples every lag shares plus a running sum over the window
+    head = x[: n - hi] @ x[: n - hi] + np.concatenate([[0.0], np.cumsum(x[n - hi : m] ** 2)])[::-1]
+    tail = x[hi:] @ x[hi:] + np.concatenate([np.cumsum(x[lo:hi][::-1] ** 2)[::-1], [0.0]])
+    denom = np.sqrt(head * tail)
     corr = np.zeros(len(lags))
     np.divide(dot, denom, out=corr, where=denom > 0)
 

@@ -7,6 +7,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy import signal as sp_signal
 
 from emgleam.classifier import (
+    INFER_BATCH,
     CnnSpec,
     _Conv,
     _MaxPool2,
@@ -191,6 +192,23 @@ class TestForward:
         labels, again = model.predict_batch(x)
         assert np.array_equal(again, probs)
         assert np.array_equal(labels, probs.argmax(axis=1))
+
+    @pytest.mark.parametrize("spec", [
+        CnnSpec((32, 32), 12, conv_channels=(12, 32), fc_sizes=(240, 120)),  # the testbed's letter spec
+        CnnSpec((24, 13), 10, kernel=3),  # a galaxy_a3 digit
+    ], ids=["letter", "kernel3"])
+    def test_inference_equals_the_training_forward(self, spec):
+        # the record-free inference path gives forward's bits, chunk for chunk,
+        # across a chunk boundary
+        model = init_model(spec, seed=6)
+        n = INFER_BATCH + 37
+        x = np.random.default_rng(7).random((n, *spec.input_hw), dtype=np.float32)
+        y = np.arange(n) % spec.n_classes
+        want = np.concatenate([model.forward(x[i : i + INFER_BATCH]) for i in range(0, n, INFER_BATCH)])
+        assert np.array_equal(model.logits(x), want)
+        assert np.array_equal(model.softmax(x), np.exp(log_softmax(want)))
+        loss = float(-log_softmax(want)[np.arange(n), y].sum()) / n
+        assert evaluate(model, x, y) == (loss, int((want.argmax(axis=1) == y).sum()) / n)
 
     def test_single_image_softmax(self):
         model = init_model(SMALL, seed=2)

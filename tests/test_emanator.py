@@ -1,9 +1,11 @@
+import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from scipy.fft import rfft
+from scipy.fft import ifft, rfft
 
 from emgleam.emanator import (
     _NOISE_BLOCK,
@@ -13,6 +15,8 @@ from emgleam.emanator import (
     LeakageModel,
     _band_dft,
     _component_baseband,
+    _frame_spectrum,
+    _period,
     add_noise,
     capture,
     clean_baseband,
@@ -331,6 +335,68 @@ class TestBandDft:
         args = (frame, 60.0, 3e5, 25e6, 6.25e6, 416667)
         k = np.array([0, 1, 77_777, 208_333, 416_666])
         assert rel_err(_component_baseband(*args)[k], harmonic_sum(*args[:5], k)) <= 1e-9
+
+
+def complex_baseband(frame, f_r, sample_rate_hz, half_band_hz, n_out):
+    """The off-carrier synthesis at f_offset_hz 0: every kept harmonic and
+    its conjugate placed by np.add.at into one P-point complex inverse FFT."""
+    period = _period(sample_rate_hz, f_r)
+    p, q_frames = period.numerator, period.denominator
+    f_r = float(Fraction(sample_rate_hz) / period)
+    k_max = min(math.ceil(half_band_hz / f_r) + 1, (len(frame) - 1) // 2)
+    q = np.arange(k_max + 1)
+    pos = q[q * f_r <= half_band_hz]
+    coef = _frame_spectrum(frame, k_max)[pos] / len(frame)
+    bins = np.zeros(p, dtype=np.complex128)
+    np.add.at(bins, np.concatenate([pos, -pos[1:]]) * q_frames % p,
+              np.concatenate([coef, np.conj(coef[1:])]))
+    return np.resize(ifft(bins, norm="forward"), n_out)
+
+
+PANELS = {"lab96x128": (LAB_TIMING, LAB_FS, LAB_BW),
+          "panel128x192": (make_panel_profile(128, 192).timing(), 5e6, 2.5e6),
+          **{name: (p.timing(), p.sample_rate_hz, p.bandwidth_hz) for name, p in PROFILES.items()}}
+
+
+class TestRealBaseband:
+    """Tuned to the carrier, the baseband is real and synthesised by irfft."""
+
+    @pytest.mark.parametrize("name", sorted(PANELS))
+    def test_matches_the_complex_synthesis(self, name):
+        timing, fs, bw = PANELS[name]
+        lum = np.random.default_rng(len(name)).random((timing.visible_h, timing.visible_w))
+        raster = ScreenRaster(timing.visible_w, timing.visible_h, lum.astype(np.float32), [])
+        frame = emanate(raster, timing, LeakageModel()).samples
+        period = _period(fs, timing.f_r)
+        # the receiver's band and the full sample rate; two frames, and the
+        # one period whose length needs no tiling
+        for half_band, n_out in [(bw / 2, round(2 * period)), (fs / 2, period.numerator)]:
+            got = _component_baseband(frame, timing.f_r, 0.0, fs, half_band, n_out)
+            assert got.dtype == np.float64 and got.shape == (n_out,)
+            assert rel_err(got, complex_baseband(frame, timing.f_r, fs, half_band, n_out)) <= 1e-15
+
+    def test_band_spanning_the_sample_rate_meets_at_nyquist(self):
+        # fs = 200 f_r: harmonics +100 and -100 both land on bin P/2 = 100
+        frame = tiny_frame(1).samples
+        got = _component_baseband(frame, 60.0, 0.0, 12e3, 6e3, 500)
+        assert got.dtype == np.float64
+        assert rel_err(got, complex_baseband(frame, 60.0, 12e3, 6e3, 500)) <= 1e-15
+
+    def test_off_centre_capture_takes_the_complex_path(self):
+        leak = emanate(random_grid_raster(3), LAB_TIMING, LAB_LEAK)
+        on, _ = clean_baseband(leak, ChannelModel(), LAB_FS, bandwidth_hz=LAB_BW)
+        off, _ = clean_baseband(leak, ChannelModel(), LAB_FS, center_freq_hz=leak.carrier_hz - 1e3,
+                                bandwidth_hz=LAB_BW)
+        assert on.samples.dtype == np.float64
+        assert off.samples.dtype == np.complex128
+        assert np.abs(off.samples.imag).max() > 0.1 * np.abs(off.samples).max()
+
+    def test_real_clean_gets_noise_as_its_complex_cast(self):
+        leak = emanate(random_grid_raster(4), LAB_TIMING, LAB_LEAK, frames=2)
+        clean, sigma = clean_baseband(leak, ChannelModel(target_snr_db=10.0, rng_seed=5), LAB_FS,
+                                      bandwidth_hz=LAB_BW)
+        cast = replace(clean, samples=clean.samples.astype(np.complex128))
+        assert add_noise(clean, sigma).samples.tobytes() == add_noise(cast, sigma).samples.tobytes()
 
 
 class TestSnrCalibrationRange:

@@ -76,6 +76,12 @@ class TestAmDemod:
         with pytest.raises(ValidationError, match="empty"):
             am_demod(fake_recording(np.zeros(0)))
 
+    def test_blocks_give_the_whole_length_bits(self):
+        n = receiver._DEMOD_BLOCK + 1
+        rng = np.random.default_rng(3)
+        x = (rng.standard_normal(n) + 1j * rng.standard_normal(n)).astype(np.complex64)
+        assert np.array_equal(am_demod(fake_recording(x)), np.abs(x.astype(np.complex128)))
+
 
 class TestEstimateFrameRate:
     def test_noiseless_precision(self):
@@ -116,6 +122,21 @@ class TestEstimateFrameRate:
         est = estimate_frame_rate(mag, ip.sample_rate_hz, ip.f_r)
         ref = per_lag_frame_rate(mag, ip.sample_rate_hz, ip.f_r)
         assert abs(est - ref) / ref <= 1e-12
+
+    @pytest.mark.parametrize("period, n, search_ppm", [
+        (3000, 7500, 1000.0),  # head of 4,503 samples, shorter than one block
+        (10_000, 2 * receiver._SYNC_BLOCK + 10_123, 1000.0),  # head ends in a partial block
+        (3000, 9000, 100.0),  # span 1: lags 2999..3001, the narrowest window
+    ], ids=["short-head", "partial-block", "narrowest"])
+    def test_block_edges_match_per_lag_reference(self, period, n, search_ppm):
+        rng = np.random.default_rng(period)
+        pattern = rng.random(period)
+        mag = np.abs(np.resize(pattern, n) + 0.3 * rng.standard_normal(n))
+        fs = 60.0 * period
+        est = estimate_frame_rate(mag, fs, 60.0, search_ppm)
+        ref = per_lag_frame_rate(mag, fs, 60.0, search_ppm)
+        assert abs(est - ref) / ref <= 1e-12
+        assert abs(est - 60.0) / 60.0 < 1e-3
 
     @pytest.mark.parametrize("level", [0.5, 1 / 3])
     def test_flat_envelope_has_no_sync(self, level):

@@ -57,6 +57,18 @@ def test_blocked_welch_equals_one_block():
     assert np.array_equal(psd, fftshift(power / (n_segments * fs * np.sum(window**2))))
 
 
+@pytest.mark.parametrize("nperseg", [40, 41])
+def test_real_input_equals_its_complex_cast(nperseg):
+    # more than one block of segments; the odd length has no Nyquist bin
+    n = (nperseg // 2) * (_WELCH_BLOCK + 20) + nperseg
+    x = np.random.default_rng(nperseg).standard_normal(n) * (1.0 + np.sin(np.arange(n) / 5.0))
+    freqs, psd, k = welch_psd(x, 1e3, 1e3 / nperseg)
+    cast_freqs, cast_psd, cast_k = welch_psd(x.astype(np.complex128), 1e3, 1e3 / nperseg)
+    assert (k, len(psd)) == (cast_k, nperseg)
+    assert np.array_equal(freqs, cast_freqs)
+    assert np.max(np.abs(psd - cast_psd) / cast_psd) <= 1e-13
+
+
 def lab_clean():
     leak = emanate(random_grid_raster(1), LAB_TIMING, LAB_LEAK, frames=2)
     rec = capture(leak, ChannelModel(), LAB_FS, bandwidth_hz=LAB_BW)
