@@ -211,14 +211,14 @@ def _cmd_session(args) -> int:
             profile, root, session_id=args.id,
             rows=args.rows, cols=args.cols, screens=args.screens,
             seed=derive_seed(args.seed, "session", args.id or ""),
-            frames=args.frames, target_snr_db=snr, distance_r=args.distance,
+            frames=_given(args.frames, 1), target_snr_db=snr, distance_r=args.distance,
             workers=args.threads,
         )
     else:
         session = run_code_session(
             profile, root, session_id=args.id, n_codes=args.codes,
             seed=derive_seed(args.seed, "session", args.id or ""),
-            frames=args.frames, target_snr_db=snr, distance_r=args.distance,
+            frames=_given(args.frames, 2), target_snr_db=snr, distance_r=args.distance,
             workers=args.threads,
         )
     _echo_config(session.directory / "manifest.json", "session", args)

@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -36,7 +35,7 @@ from .pgmio import read_pgm, write_pgm
 from .profiles import PhoneProfile
 from .raster import ScreenRaster, blank_screen, paste, render_digit_grid, render_security_message
 from .receiver import Emage, reconstruct
-from .util import derive_seed, dump_json, load_json
+from .util import derive_seed, dump_json, read_record
 
 # A session whose crops have lower mean dynamic range than this is flagged
 # as a failed acquisition; training sets always exclude flagged sessions.
@@ -155,21 +154,9 @@ class Session:
         dump_json(self.directory / "manifest.json", self.manifest())
 
 
-@contextmanager
-def _record(path):
-    """The JSON at path; a missing key or a mistyped value met while reading
-    it is a ValidationError naming the file."""
-    try:
-        yield load_json(path)
-    except KeyError as exc:
-        raise ValidationError(f"{path}: missing key {exc}") from None
-    except TypeError as exc:
-        raise ValidationError(f"{path}: malformed record ({exc})") from None
-
-
 def load_session(directory) -> Session:
     directory = Path(directory)
-    with _record(directory / "manifest.json") as m:
+    with read_record(directory / "manifest.json") as m:
         items = [
             SessionItem(
                 path=d["path"],
@@ -266,7 +253,7 @@ def run_session(
     cols: int = 40,
     screens: int = 20,
     seed: int = 0,
-    frames: int | None = 1,
+    frames: int = 1,
     target_snr_db: float | None = None,
     distance_r: float = 1.0,
     contrast: float = 1.0,
@@ -282,7 +269,7 @@ def run_session(
         raise ValidationError(
             f"grid session needs rows, cols and screens >= 1, got {rows}, {cols}, {screens}"
         )
-    hardware = _profile_hardware(profile, 1 if frames is None else frames, target_snr_db, distance_r)
+    hardware = _profile_hardware(profile, frames, target_snr_db, distance_r)
     cell_w, cell_h = profile.grid_cell(rows, cols)
     if cell_w < 1 or cell_h < 1:
         raise ValidationError(f"grid {rows}x{cols} too fine for profile {profile.name}")
@@ -316,7 +303,7 @@ def run_code_session(
     session_id: str | None = None,
     n_codes: int = 200,
     seed: int = 0,
-    frames: int | None = 2,
+    frames: int = 2,
     target_snr_db: float | None = None,
     distance_r: float = 1.0,
     contrast: float = 1.0,
@@ -330,7 +317,7 @@ def run_code_session(
     """
     if n_codes < 1:
         raise ValidationError(f"code session needs n_codes >= 1, got {n_codes}")
-    hardware = _profile_hardware(profile, 2 if frames is None else frames, target_snr_db, distance_r)
+    hardware = _profile_hardware(profile, frames, target_snr_db, distance_r)
     digit_w = profile.grid_content_w // 40
     digit_h = profile.grid_content_h // 40
 
@@ -360,16 +347,13 @@ class SplitPlan:
     """How train/val/test material is partitioned.
 
     The test sessions are held out whole; the items of the train sessions
-    split into train/val/internal-test by the given fractions.
+    split into train/val/internal-test by SPLIT_FRACTIONS.
     """
 
-    fractions: tuple[float, float, float] = SPLIT_FRACTIONS
     train_sessions: tuple[str, ...] = ()
     test_sessions: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if abs(sum(self.fractions) - 1.0) > 1e-9:
-            raise ValidationError(f"fractions {self.fractions} must sum to 1")
         if set(self.train_sessions) & set(self.test_sessions):
             raise ValidationError("train and test session lists overlap")
 
@@ -385,7 +369,7 @@ class TrainingSet:
     def as_dict(self) -> dict:
         return {
             "name": self.name,
-            "fractions": list(self.plan.fractions),
+            "fractions": list(SPLIT_FRACTIONS),
             "train_sessions": list(self.plan.train_sessions),
             "test_sessions": list(self.plan.test_sessions),
             "train": self.train,
@@ -398,10 +382,10 @@ class TrainingSet:
 
 
 def load_training_set(path) -> TrainingSet:
-    # older split files also carry a "mode" key (always "session"); it is ignored
-    with _record(path) as d:
+    # the "fractions" key (always SPLIT_FRACTIONS when written here) and the
+    # "mode" key of older split files (always "session") are ignored
+    with read_record(path) as d:
         plan = SplitPlan(
-            fractions=tuple(d["fractions"]),
             train_sessions=tuple(d["train_sessions"]),
             test_sessions=tuple(d["test_sessions"]),
         )
@@ -478,7 +462,7 @@ def load_items(root, paths: list[str]) -> tuple[np.ndarray, np.ndarray, list[str
         images.append(read_pgm(root / rel))
         manifest = root / parts[0] / parts[1] / "manifest.json"
         if parts[1] not in tables:
-            with _record(manifest) as m:
+            with read_record(manifest) as m:
                 tables[parts[1]] = {d["path"]: d["label"] for d in m["items"]}
         label = tables[parts[1]].get("/".join(parts[2:]))
         if label is None:

@@ -53,7 +53,7 @@ from scipy.fft import ifft, irfft, rfft
 from ._spectrum import calibrate_noise_sigma
 from .errors import TuningError, ValidationError
 from .raster import ScreenRaster
-from .util import dump_json, load_json
+from .util import dump_json, read_record
 
 _MAX_PERIOD = 1 << 22  # bound on the synthesised period in ADC samples when fs/f_r is snapped
 _NOISE_BLOCK = 1 << 14  # noise samples drawn and added at a time; the block stays in cache
@@ -168,7 +168,6 @@ class IqRecording:
     sample_rate_hz: float
     center_freq_hz: float
     samples: np.ndarray  # complex64
-    frames_contained: int
     timing: DisplayTiming
     seed: int = 0
 
@@ -176,37 +175,30 @@ class IqRecording:
         return {
             "sample_rate_hz": self.sample_rate_hz,
             "center_freq_hz": self.center_freq_hz,
-            "frames_contained": self.frames_contained,
             "timing": self.timing.as_dict(),
             "seed": self.seed,
         }
 
     def save(self, path) -> None:
-        """Raw interleaved little-endian float32 I/Q plus JSON sidecar."""
+        """Raw little-endian complex64 (interleaved float32 I/Q) plus JSON sidecar."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        inter = np.empty((len(self.samples), 2), dtype="<f4")
-        inter[:, 0] = self.samples.real
-        inter[:, 1] = self.samples.imag
-        with open(path, "wb") as fh:
-            fh.write(inter.tobytes())
+        np.asarray(self.samples, "<c8").tofile(path)
         dump_json(str(path) + ".json", self.sidecar())
 
     @classmethod
     def load(cls, path) -> "IqRecording":
-        meta = load_json(str(path) + ".json")
-        raw = np.fromfile(path, dtype="<f4")
-        if raw.size % 2:
-            raise ValidationError(f"{path}: odd float count, not interleaved I/Q")
-        samples = raw[0::2] + 1j * raw[1::2]
-        return cls(
-            sample_rate_hz=float(meta["sample_rate_hz"]),
-            center_freq_hz=float(meta["center_freq_hz"]),
-            samples=samples.astype(np.complex64),
-            frames_contained=int(meta["frames_contained"]),
-            timing=DisplayTiming(**meta["timing"]),
-            seed=int(meta.get("seed", 0)),
-        )
+        # the "frames_contained" key of older sidecars is ignored
+        with read_record(str(path) + ".json") as meta:
+            if Path(path).stat().st_size % 8:
+                raise ValidationError(f"{path}: odd float count, not interleaved I/Q")
+            return cls(
+                sample_rate_hz=float(meta["sample_rate_hz"]),
+                center_freq_hz=float(meta["center_freq_hz"]),
+                samples=np.fromfile(path, "<c8"),
+                timing=DisplayTiming(**meta["timing"]),
+                seed=int(meta.get("seed", 0)),
+            )
 
 
 def video_waveform(raster: ScreenRaster, timing: DisplayTiming) -> np.ndarray:
@@ -416,7 +408,6 @@ def clean_baseband(
         sample_rate_hz=sample_rate_hz,
         center_freq_hz=center_freq_hz,
         samples=samples,
-        frames_contained=leak.frames,
         timing=replace(leak.timing, f_r=float(Fraction(sample_rate_hz) / period)),
         seed=channel.rng_seed,
     )

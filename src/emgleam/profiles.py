@@ -12,11 +12,18 @@ standard 40x40 profiling grid lands on whole reconstructed pixels:
 * galaxy_a3: cell 13x24 -> 13x24 (ratio 1)
 
 Total-per-line pixel counts x_t are the usual ~10% horizontal blanking
-overhead, rounded to keep those ratios exact.  Default SNRs and the
-nominal observed leak center frequencies come from the per-device
-measurement table; the simulation places its carrier at harmonic * pixel
-clock instead (the observed centers are not derivable from the published
-refresh rates), keeping the measured value as metadata.
+overhead, rounded to keep those ratios exact.  Default SNRs come from the
+per-device measurement table, which also gives each device's observed
+leak center:
+
+* iphone6s:  33.4 dB, 295 MHz
+* iphone6a:  25.0 dB, 105 MHz
+* iphone6b:  26.8 dB, 105 MHz
+* honor6x:   36.6 dB, 465 MHz
+* galaxy_a3: 25.9 dB, 295 MHz
+
+The simulation places its carrier at harmonic * pixel clock instead (the
+observed centers are not derivable from the published refresh rates).
 """
 
 from __future__ import annotations
@@ -37,7 +44,6 @@ class PhoneProfile:
     y_t: int
     f_r: float
     default_snr_db: float
-    measured_center_hz: float  # nominal observed leak center, metadata only
     recon_w: int
     grid_content_w: int  # screen area tiled by the default 40x40 grid
     grid_content_h: int
@@ -92,32 +98,27 @@ PROFILES: dict[str, PhoneProfile] = {
         PhoneProfile(
             name="iphone6s",
             visible_w=750, visible_h=1334, x_t=828, y_t=1415, f_r=60.0,
-            default_snr_db=33.4, measured_center_hz=295e6,
-            recon_w=966, grid_content_w=720, grid_content_h=1240,
+            default_snr_db=33.4, recon_w=966, grid_content_w=720, grid_content_h=1240,
         ),
         PhoneProfile(
             name="iphone6a",
             visible_w=750, visible_h=1334, x_t=828, y_t=1415, f_r=60.0,
-            default_snr_db=25.0, measured_center_hz=105e6,
-            recon_w=920, grid_content_w=720, grid_content_h=1240,
+            default_snr_db=25.0, recon_w=920, grid_content_w=720, grid_content_h=1240,
         ),
         PhoneProfile(
             name="iphone6b",
             visible_w=750, visible_h=1334, x_t=828, y_t=1415, f_r=60.0,
-            default_snr_db=26.8, measured_center_hz=105e6,
-            recon_w=920, grid_content_w=720, grid_content_h=1240,
+            default_snr_db=26.8, recon_w=920, grid_content_w=720, grid_content_h=1240,
         ),
         PhoneProfile(
             name="honor6x",
             visible_w=1080, visible_h=1920, x_t=1188, y_t=2036, f_r=60.0,
-            default_snr_db=36.6, measured_center_hz=465e6,
-            recon_w=924, grid_content_w=1080, grid_content_h=1800,
+            default_snr_db=36.6, recon_w=924, grid_content_w=1080, grid_content_h=1800,
         ),
         PhoneProfile(
             name="galaxy_a3",
             visible_w=540, visible_h=960, x_t=594, y_t=1018, f_r=60.0,
-            default_snr_db=25.9, measured_center_hz=295e6,
-            recon_w=594, grid_content_w=520, grid_content_h=960,
+            default_snr_db=25.9, recon_w=594, grid_content_w=520, grid_content_h=960,
         ),
     ]
 }

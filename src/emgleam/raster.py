@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ValidationError
 from .glyphs import CHART_LETTERS, DIGIT_GLYPHS, LETTER_GLYPHS, scale_bitmap
 from .pgmio import read_pgm, write_pgm
-from .util import dump_json, load_json
+from .util import dump_json, read_record
 
 #: Acuity-chart scales.  The largest letter leaves 10% of its own width as
 #: margin on each side; the smallest is 1/20 of the largest.
@@ -88,14 +88,12 @@ class ScreenRaster:
     @classmethod
     def load(cls, path) -> "ScreenRaster":
         lum = read_pgm(path)
-        sidecar = str(path) + ".json"
-        regions = []
-        try:
-            regions = [LabeledRegion(**d) for d in load_json(sidecar)]
-        except FileNotFoundError:
-            pass
         h, w = lum.shape
-        return cls(w, h, lum, regions)
+        try:
+            with read_record(str(path) + ".json") as regions:
+                return cls(w, h, lum, [LabeledRegion(**d) for d in regions])
+        except FileNotFoundError:  # a bare PGM: no annotations
+            return cls(w, h, lum)
 
 
 def _glyph_for(symbol: str) -> np.ndarray:

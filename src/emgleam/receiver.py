@@ -23,7 +23,7 @@ from ._spectrum import band_slice, peak_over_median_db, welch_psd
 from .emanator import IqRecording
 from .errors import NoSyncError, ValidationError
 from .pgmio import read_pgm, write_pgm
-from .util import dump_json, load_json
+from .util import dump_json, read_record
 
 # Fraction of a normalized autocorrelation peak required to call sync.
 _SYNC_THRESHOLD = 0.1
@@ -101,14 +101,12 @@ class Emage:
     @classmethod
     def load(cls, path) -> "Emage":
         px = read_pgm(path)
-        meta = {}
-        try:
-            meta = load_json(str(path) + ".json")
-        except FileNotFoundError:
-            pass
-        frames = int(meta.pop("frames_averaged", 1))
         h, w = px.shape
-        return cls(w, h, px, frames, meta)
+        try:
+            with read_record(str(path) + ".json") as meta:
+                return cls(w, h, px, int(meta.pop("frames_averaged", 1)), meta)
+        except FileNotFoundError:  # a bare PGM: one frame, no metadata
+            return cls(w, h, px, 1)
 
 
 def am_demod(recording: IqRecording) -> np.ndarray:
@@ -268,12 +266,11 @@ def reconstruct(recording: IqRecording, params: ReconParams) -> Emage:
     of _RECON_CHUNK cells, all frames of a chunk at once; every cell still
     sums its frames in index order.
     """
-    if recording.timing is not None:
-        sidecar_fr = recording.timing.f_r
-        if abs(params.f_r_hz - sidecar_fr) > 0.05 * sidecar_fr:
-            raise ValidationError(
-                f"params f_r {params.f_r_hz} deviates more than 5% from recorded {sidecar_fr}"
-            )
+    sidecar_fr = recording.timing.f_r
+    if abs(params.f_r_hz - sidecar_fr) > 0.05 * sidecar_fr:
+        raise ValidationError(
+            f"params f_r {params.f_r_hz} deviates more than 5% from recorded {sidecar_fr}"
+        )
     mag = am_demod(recording)
     fs = recording.sample_rate_hz
     frame_len = fs / params.f_r_hz
@@ -342,11 +339,7 @@ def measure_snr(
     if signal_center_hz is not None:
         offset = signal_center_hz - recording.center_freq_hz
 
-    freqs, psd, _ = welch_psd(
-        np.asarray(recording.samples, dtype=np.complex128),
-        recording.sample_rate_hz,
-        resolution_hz,
-    )
+    freqs, psd, _ = welch_psd(recording.samples, recording.sample_rate_hz, resolution_hz)
     mask, clipped = band_slice(freqs, offset, band_hz)
     if clipped and explicit_band:
         warnings.warn(

@@ -133,7 +133,7 @@ def make_panel_profile(visible_w: int, visible_h: int, f_r: float = 60.0) -> Pho
     return PhoneProfile(
         name="custom",
         visible_w=visible_w, visible_h=visible_h, x_t=timing.x_t, y_t=timing.y_t, f_r=f_r,
-        default_snr_db=25.0, measured_center_hz=0.0, recon_w=timing.x_t,
+        default_snr_db=25.0, recon_w=timing.x_t,
         grid_content_w=(visible_w // 40) * 40, grid_content_h=(visible_h // 40) * 40,
     )
 

@@ -1,9 +1,10 @@
-"""Small shared helpers: seed derivation and deterministic JSON."""
+"""Small shared helpers: seed derivation, deterministic JSON and record reading."""
 
 from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 from .errors import ValidationError
@@ -38,3 +39,21 @@ def load_json(path):
             return json.load(fh)
         except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
             raise ValidationError(f"{path}: not a JSON file ({exc})") from None
+
+
+@contextmanager
+def read_record(path):
+    """The JSON at path, for building a record from it.
+
+    A missing key, or a mistyped or unparsable value, met while reading it
+    is a ValidationError naming the file; a ValidationError that the
+    record's own constructor raises passes through unchanged.
+    """
+    try:
+        yield load_json(path)
+    except ValidationError:
+        raise
+    except KeyError as exc:
+        raise ValidationError(f"{path}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{path}: malformed record ({exc})") from None

@@ -132,7 +132,7 @@ def test_criterion_05_averaging_law():
 
     def background_std(n):
         rec = IqRecording(LAB_FS, rec8.center_freq_hz,
-                          rec8.samples[: int(round(n * frame_len))], n, rec8.timing, rec8.seed)
+                          rec8.samples[: int(round(n * frame_len))], rec8.timing, rec8.seed)
         emage = reconstruct(rec, ReconParams(LAB_TIMING.x_t, LAB_TIMING.y_t, LAB_TIMING.f_r))
         energy = emage.pixels.mean(axis=1)
         sums = np.convolve(energy, np.ones(4), mode="valid")

@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 from emgleam.cli import build_parser, main
+from emgleam.emanator import DisplayTiming, IqRecording
 
 
 def run(args):
@@ -343,7 +345,7 @@ class TestMalformedInputs:
     @pytest.mark.parametrize("content, message", [
         (b"# emgleam\n\nNot a split.\n", "not a JSON file"),
         (b"\xff\xfe\x00\x01", "not a JSON file"),
-        (b"{}", "missing key 'fractions'"),
+        (b"{}", "missing key 'train_sessions'"),
         (b'{"name": "training1", "fractions": [0.8, 0.1, 0.1]}', "missing key 'train_sessions'"),
         (b"[]", "malformed record"),
     ])
@@ -352,6 +354,39 @@ class TestMalformedInputs:
         path.write_bytes(content)
         assert run(["train", "--dataset", tmp_path, "--split", path, "-o", tmp_path / "m.bin"]) == 2
         assert f"error: {path}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["reconstruct", "snr"])
+    @pytest.mark.parametrize("key, value, message", [
+        ("center_freq_hz", None, "missing key 'center_freq_hz'"),
+        ("sample_rate_hz", "fast", "malformed record"),
+        ("timing", [1, 2], "malformed record"),
+    ])
+    def test_malformed_recording_sidecar(self, tmp_path, capsys, command, key, value, message):
+        path = tmp_path / "r.iq"
+        IqRecording(1e3, 0.0, np.ones(64, np.complex64), DisplayTiming.for_visible(8, 8)).save(path)
+        sidecar = tmp_path / "r.iq.json"
+        meta = json.loads(sidecar.read_text())
+        if value is None:
+            del meta[key]
+        else:
+            meta[key] = value
+        sidecar.write_text(json.dumps(meta))
+        outputs = ["-o", tmp_path / "e.pgm"] if command == "reconstruct" else []
+        assert run([command, path, *outputs]) == 2
+        assert f"error: {sidecar}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "e.pgm").exists()
+
+    def test_raster_region_without_height(self, tmp_path, capsys):
+        raster = tmp_path / "m.pgm"
+        assert run(["render", "--message", "123456", "--screen", "540x960", "-o", raster]) == 0
+        sidecar = tmp_path / "m.pgm.json"
+        regions = json.loads(sidecar.read_text())
+        del regions[0]["h"]
+        sidecar.write_text(json.dumps(regions))
+        capsys.readouterr()
+        assert run(["emanate", raster, "--profile", "galaxy_a3", "-o", tmp_path / "m.iq"]) == 2
+        assert f"error: {sidecar}: malformed record" in capsys.readouterr().err
+        assert not (tmp_path / "m.iq").exists()
 
     def test_non_numeric_split_schedule(self, tmp_path, capsys):
         root = tmp_path / "data"

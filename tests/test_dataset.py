@@ -343,9 +343,14 @@ class TestTrainingSets:
 
 
 class TestSplitPlan:
-    def test_fractions_must_sum_to_one(self):
-        with pytest.raises(ValidationError, match="sum to 1"):
-            SplitPlan(fractions=(0.5, 0.2, 0.2))
+    def test_split_file_fractions_are_ignored(self, tmp_path):
+        record = {"name": "training1", "fractions": [0.5, 0.25, 0.25], "mode": "session",
+                  "train_sessions": ["a"], "test_sessions": ["b"],
+                  "train": ["sessions/a/items/item_000000.pgm"], "val": [], "test_internal": []}
+        (tmp_path / "old.json").write_text(json.dumps(record))
+        load_training_set(tmp_path / "old.json").save(tmp_path / "new.json")
+        del record["mode"]
+        assert json.loads((tmp_path / "new.json").read_text()) == {**record, "fractions": [0.8, 0.1, 0.1]}
 
     def test_session_lists_must_be_disjoint(self):
         with pytest.raises(ValidationError, match="overlap"):

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -127,7 +128,6 @@ class TestCapture:
         leak = emanate(random_grid_raster(0), LAB_TIMING, LAB_LEAK, frames=2)
         rec = capture(leak, ChannelModel(), sample_rate_hz=LAB_FS, bandwidth_hz=LAB_BW)
         assert len(rec.samples) == round(2 * LAB_FS / LAB_TIMING.f_r)
-        assert rec.frames_contained == 2
         assert rec.samples.dtype == np.complex64
 
     def test_distance_attenuation_exact(self):
@@ -200,6 +200,46 @@ class TestCapture:
         assert np.array_equal(raw[0::2], rec.samples.real.astype("<f4"))
         assert np.array_equal(raw[1::2], rec.samples.imag.astype("<f4"))
 
+    def test_loaded_samples_are_the_file_bits(self, tmp_path):
+        # signed zeros and non-finite values come back exactly as written
+        values = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 1.5], dtype=np.float32)
+        rec = IqRecording(LAB_FS, 0.0, values.view(np.complex64), LAB_TIMING)
+        rec.save(tmp_path / "z.iq")
+        again = IqRecording.load(tmp_path / "z.iq")
+        assert again.samples.dtype == np.complex64
+        assert np.array_equal(again.samples.view(np.uint32), values.view(np.uint32))
+
+    def test_legacy_sidecar_with_frame_count_loads(self, tmp_path):
+        path = tmp_path / "cap.iq"
+        rec = IqRecording(LAB_FS, 0.0, np.arange(16, dtype=np.complex64), LAB_TIMING, seed=3)
+        rec.save(path)
+        sidecar = tmp_path / "cap.iq.json"
+        assert "frames_contained" not in json.loads(sidecar.read_text())
+        sidecar.write_text(json.dumps({**rec.sidecar(), "frames_contained": 1}))
+        again = IqRecording.load(path)
+        assert np.array_equal(again.samples, rec.samples)
+        assert again.sidecar() == rec.sidecar()
+
+    @pytest.mark.parametrize("extra", [b"\0" * 4, b"\0" * 2])
+    def test_partial_sample_is_validation_error(self, tmp_path, extra):
+        path = tmp_path / "cap.iq"
+        IqRecording(LAB_FS, 0.0, np.ones(16, np.complex64), LAB_TIMING).save(path)
+        with open(path, "ab") as fh:
+            fh.write(extra)
+        with pytest.raises(ValidationError, match="odd float count"):
+            IqRecording.load(path)
+
+    def test_sidecar_timing_error_passes_through(self, tmp_path):
+        path = tmp_path / "cap.iq"
+        IqRecording(LAB_FS, 0.0, np.ones(16, np.complex64), LAB_TIMING).save(path)
+        sidecar = tmp_path / "cap.iq.json"
+        meta = json.loads(sidecar.read_text())
+        meta["timing"]["x_t"] = meta["timing"]["visible_w"] - 1
+        sidecar.write_text(json.dumps(meta))
+        # the timing's own message, not a "malformed record" wrapper
+        with pytest.raises(ValidationError, match=r"^total \d+x\d+ smaller than visible"):
+            IqRecording.load(path)
+
 
 TINY_FS = 25e3  # fs/f_r = 1250/3: 1250 samples span exactly 3 frames
 
@@ -240,7 +280,7 @@ class TestCleanNoiseSplit:
         n = 3 * _NOISE_BLOCK + 123
         rng = np.random.default_rng(1)
         samples = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        clean = IqRecording(25e6, 0.0, samples, 1, LAB_TIMING, seed=42)
+        clean = IqRecording(25e6, 0.0, samples, LAB_TIMING, seed=42)
         sigma = 0.37
         gauss = np.random.default_rng(42).standard_normal((n, 2))
         want = (samples + (gauss[:, 0] + 1j * gauss[:, 1]) * (sigma / np.sqrt(2.0))).astype(np.complex64)

@@ -59,11 +59,6 @@ def test_horizontal_scales_are_exact_small_rationals():
         assert get_profile(name).x_scale == ratio
 
 
-def test_nominal_leak_centers_recorded():
-    assert get_profile("iphone6s").measured_center_hz == 295e6
-    assert get_profile("honor6x").measured_center_hz == 465e6
-
-
 def test_capture_defaults():
     p = get_profile("iphone6s")
     assert p.sample_rate_hz == 25e6

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -54,7 +55,7 @@ def lab_params(**kw):
 
 
 def fake_recording(samples, fs=LAB_FS):
-    return IqRecording(fs, 0.0, np.asarray(samples, dtype=np.complex64), 1, LAB_TIMING, 0)
+    return IqRecording(fs, 0.0, np.asarray(samples, dtype=np.complex64), LAB_TIMING, 0)
 
 
 class TestAmDemod:
@@ -211,7 +212,7 @@ class TestReconstruct:
         n = round(3 * ip.sample_rate_hz / ip.f_r)
         rng = np.random.default_rng(9)
         samples = (rng.standard_normal(n) + 1j * rng.standard_normal(n)).astype(np.complex64)
-        rec = IqRecording(ip.sample_rate_hz, 0.0, samples, 3, ip.timing(), 0)
+        rec = IqRecording(ip.sample_rate_hz, 0.0, samples, ip.timing(), 0)
         params = ip.recon_params()
         cells = params.width_px * params.height_px
         assert cells > receiver._RECON_CHUNK and cells % receiver._RECON_CHUNK
@@ -247,6 +248,16 @@ class TestReconstruct:
         assert np.array_equal(
             np.rint(emage.pixels * 255), np.rint(again.pixels * 255)
         )
+
+    def test_emage_sidecar_errors_name_the_file(self, tmp_path):
+        p = tmp_path / "e.pgm"
+        Emage(4, 3, np.zeros((3, 4)), 1).save(p)
+        sidecar = tmp_path / "e.pgm.json"
+        sidecar.write_text('{"frames_averaged": "two"}')
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(sidecar))}: malformed record"):
+            Emage.load(p)
+        sidecar.unlink()  # a bare PGM is one frame with no metadata
+        assert Emage.load(p).frames_averaged == 1
 
 
 def phone_grid_emage(profile, seed, snr_db):
@@ -299,7 +310,7 @@ class TestAveragingLaw:
         def bg_std(n):
             rec = IqRecording(LAB_FS, rec8.center_freq_hz,
                               rec8.samples[: int(round(n * frame_len))],
-                              n, rec8.timing, rec8.seed)
+                              rec8.timing, rec8.seed)
             emage = reconstruct(rec, lab_params())
             e = emage.pixels.mean(axis=1)
             sums = np.convolve(e, np.ones(4), mode="valid")

@@ -69,6 +69,18 @@ def test_real_input_equals_its_complex_cast(nperseg):
     assert np.max(np.abs(psd - cast_psd) / cast_psd) <= 1e-13
 
 
+def test_complex64_input_equals_its_complex128_cast():
+    # each block is promoted on the way in, so no caller needs a whole-length cast
+    n = 20 * (_WELCH_BLOCK + 20) + 40
+    rng = np.random.default_rng(7)
+    x = (rng.standard_normal(n) + 1j * rng.standard_normal(n)).astype(np.complex64)
+    freqs, psd, k = welch_psd(x, 1e3, 1e3 / 40)
+    cast_freqs, cast_psd, cast_k = welch_psd(x.astype(np.complex128), 1e3, 1e3 / 40)
+    assert k == cast_k
+    assert np.array_equal(freqs, cast_freqs)
+    assert np.array_equal(psd, cast_psd)
+
+
 def lab_clean():
     leak = emanate(random_grid_raster(1), LAB_TIMING, LAB_LEAK, frames=2)
     rec = capture(leak, ChannelModel(), LAB_FS, bandwidth_hz=LAB_BW)
