@@ -24,6 +24,8 @@ from scipy.fft import fft, fftfreq, fftshift, rfft
 from scipy.special import gammaincinv
 
 _WELCH_BLOCK = 128  # segments per FFT call; a block's spectra stay in cache
+# Periodogram resolution of noise calibration, and the SNR meter's default
+RESOLUTION_HZ = 25e3
 
 
 def welch_psd(x: np.ndarray, fs: float, resolution_hz: float):
@@ -92,12 +94,7 @@ def peak_over_median_db(psd_band: np.ndarray) -> float:
     return 10.0 * np.log10(peak / floor)
 
 
-def calibrate_noise_sigma(
-    clean: np.ndarray,
-    fs: float,
-    target_snr_db: float,
-    resolution_hz: float = 25e3,
-) -> float:
+def calibrate_noise_sigma(clean: np.ndarray, fs: float, target_snr_db: float) -> float:
     """Total complex-noise standard deviation achieving the target SNR.
 
     Treats the noise as a flat floor of mean bin power n = sigma^2 / fs at
@@ -108,7 +105,7 @@ def calibrate_noise_sigma(
     sigma saturates at 1e9 and 1e-9 times sqrt(peak * fs).  A zero signal
     has no defined SNR; sigma falls back to 1.
     """
-    _, psd, k = welch_psd(clean, fs, resolution_hz)
+    _, psd, k = welch_psd(clean, fs, RESOLUTION_HZ)
     p_pk = float(np.max(psd)) if psd.size else 0.0
     if p_pk <= 0.0:
         return 1.0

@@ -34,7 +34,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DivergenceError, ValidationError
-from .util import dump_json
+from .util import dump_json, read_record
 
 _MAGIC = b"EMGL"
 _FORMAT_VERSION = 1
@@ -568,20 +568,22 @@ def save_model(model: CnnModel, path) -> None:
         fh.write(params.tobytes())
 
 
-def load_model(path, dtype=np.float32) -> CnnModel:
+def load_model(path) -> CnnModel:
+    """The model save_model wrote; a damaged file is a ValidationError naming it."""
     with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise ValidationError(f"{path}: not a model file")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != _FORMAT_VERSION:
-            raise ValidationError(f"{path}: unsupported format version {version}")
-        (spec_len,) = struct.unpack("<I", fh.read(4))
-        block = json.loads(fh.read(spec_len).decode())
-        (count,) = struct.unpack("<Q", fh.read(8))
-        params = np.frombuffer(fh.read(count * 4), dtype="<f4")
-    if params.size != count:
+        data = fh.read()
+    if data[:4] != _MAGIC:
+        raise ValidationError(f"{path}: not a model file")
+    if len(data) < 12 or len(data) < 20 + struct.unpack_from("<I", data, 8)[0]:
+        raise ValidationError(f"{path}: truncated header")
+    version, spec_len = struct.unpack_from("<II", data, 4)
+    if version != _FORMAT_VERSION:
+        raise ValidationError(f"{path}: unsupported format version {version}")
+    (count,) = struct.unpack_from("<Q", data, 12 + spec_len)
+    if len(data) < 20 + spec_len + 4 * count:
         raise ValidationError(f"{path}: truncated parameter block")
-    model = CnnModel(CnnSpec.from_dict(block["spec"]), dtype)
-    model.meta = dict(block.get("meta", {}))
-    model.set_flat_params(params.astype(dtype))
+    with read_record(path, data[12 : 12 + spec_len]) as block:
+        model = CnnModel(CnnSpec.from_dict(block["spec"]))
+        model.meta = dict(block.get("meta", {}))
+    model.set_flat_params(np.frombuffer(data, "<f4", count, offset=20 + spec_len))
     return model

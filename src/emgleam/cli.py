@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._spectrum import RESOLUTION_HZ
 from .errors import EmgleamError, ValidationError
 from .util import derive_seed, dump_json
 
@@ -423,7 +424,7 @@ def build_parser() -> _Parser:
     p.add_argument("recording")
     p.add_argument("--center", type=float, default=None)
     p.add_argument("--band", type=float, default=None)
-    p.add_argument("--resolution", type=float, default=25e3)
+    p.add_argument("--resolution", type=float, default=RESOLUTION_HZ)
     p.add_argument("-o", "--output")
     common(p)
     p.set_defaults(func=_cmd_snr)

@@ -306,7 +306,6 @@ def run_code_session(
     frames: int = 2,
     target_snr_db: float | None = None,
     distance_r: float = 1.0,
-    contrast: float = 1.0,
     workers: int = 1,
 ) -> Session:
     """Simulated security-code test session.
@@ -327,7 +326,7 @@ def run_code_session(
     def one_code(i: int):
         screen = render_security_message(
             codes[i], profile.visible_w, profile.visible_h,
-            digit_w=digit_w, digit_h=digit_h, x_align=profile.x_align, contrast=contrast,
+            digit_w=digit_w, digit_h=digit_h, x_align=profile.x_align,
         )
         emage = simulate(screen, hardware, derive_seed(seed, "code", i))
         region = screen.annotations[0]

@@ -54,7 +54,11 @@ def read_pgm(path) -> np.ndarray:
     magic, w_s, h_s, maxval_s = fields
     if magic != b"P5":
         raise ValidationError(f"{path}: not a binary PGM (magic {magic!r})")
+    if not all(f.isdigit() for f in fields[1:]):
+        raise ValidationError(f"{path}: PGM header fields {fields[1:]} are not unsigned integers")
     w, h, maxval = int(w_s), int(h_s), int(maxval_s)
+    if w < 1 or h < 1:
+        raise ValidationError(f"{path}: PGM size {w}x{h} must be positive")
     if maxval != 255:
         raise ValidationError(f"{path}: unsupported maxval {maxval}")
     raster = data[pos : pos + w * h]

@@ -7,8 +7,9 @@ grid, frame averaging, and min-max normalization.  Interactive alignment
 sliders are replaced by a deterministic rule: the frame start is the row
 rotation that puts the vertical-blanking dark band just above row 0.  Each
 row is scored by how strongly it carries the line-start and line-end edges
-that every visible line shares, and the band is the run of rows scoring
-furthest below the midpoint between the blanking and the content level.
+that every visible line shares; the band is the window of as many rows as
+the recording's timing has blanking lines (scaled to the grid height)
+whose scores sum lowest.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 
-from ._spectrum import band_slice, peak_over_median_db, welch_psd
+from ._spectrum import RESOLUTION_HZ, band_slice, peak_over_median_db, welch_psd
 from .emanator import IqRecording
 from .errors import NoSyncError, ValidationError
 from .pgmio import read_pgm, write_pgm
@@ -227,33 +228,21 @@ def _row_energy(avg: np.ndarray) -> np.ndarray:
     return avg[:, :tail] @ weights[:tail] + np.roll(avg[:, tail:] @ weights[tail:], 1)
 
 
-def _frame_start_row(avg: np.ndarray) -> int:
+def _frame_start_row(avg: np.ndarray, blank_rows: int) -> int:
     """Row rotation placing content right after the dark blanking band.
 
-    The vertical blanking lines carry no emission, so the darkest window of
-    rows (_row_energy) sits inside the blanking; its mean is the blanking
-    level, and the median row, a visible one in any realistic timing, is
-    the content level.  The frame start is the end of the run of rows from
-    that window on that lies furthest below the midpoint of the two levels,
-    i.e. the argmax of the running sum of (midpoint - energy).  A lone noisy
-    blanking row above the midpoint therefore does not end the band early.
-    Needs a timing with a vertical blanking interval, which the defaults
-    have.
+    The vertical blanking lines carry no emission, so the band is the
+    circular window of blank_rows rows whose summed _row_energy is lowest;
+    the frame starts at the row right after it.  A timing without vertical
+    blanking (blank_rows < 1) has no band and no rotation.
     """
+    if blank_rows < 1:
+        return 0
     h = avg.shape[0]
     e = _row_energy(avg)
-    if not float(e.max()) > float(e.min()):
-        return 0
-    b = max(1, h // 20)  # window sized to fit inside typical blanking
     total = np.concatenate([[0.0], np.concatenate([e, e]).cumsum()])
     starts = np.arange(h)
-    prev_sum = total[starts + h] - total[starts + h - b]
-    s_dark = int(np.argmin(prev_sum))  # window covers rows [s_dark-b, s_dark)
-    level = float(prev_sum[s_dark]) / b
-    threshold = 0.5 * (level + float(np.median(e)))
-    order = (s_dark - b + np.arange(h)) % h
-    below = np.cumsum(threshold - e[order])
-    return int(order[(int(np.argmax(below)) + 1) % h])
+    return int(np.argmin(total[starts + h] - total[starts + h - blank_rows]))
 
 
 def reconstruct(recording: IqRecording, params: ReconParams) -> Emage:
@@ -295,7 +284,8 @@ def reconstruct(recording: IqRecording, params: ReconParams) -> Emage:
             chunk += mag[base] * (1.0 - frac) + mag[base + 1] * frac
     avg = (acc / n_frames).reshape(h, w)
 
-    start_row = _frame_start_row(avg)
+    t = recording.timing
+    start_row = _frame_start_row(avg, round((t.y_t - t.visible_h) * h / t.y_t))
     if start_row:
         avg = np.roll(avg, -start_row, axis=0)
 
@@ -318,7 +308,7 @@ def measure_snr(
     recording: IqRecording,
     signal_center_hz: float | None = None,
     band_hz: float | None = None,
-    resolution_hz: float = 25e3,
+    resolution_hz: float = RESOLUTION_HZ,
 ) -> float:
     """Peak-over-median periodogram SNR in dB.
 

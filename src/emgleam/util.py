@@ -42,15 +42,15 @@ def load_json(path):
 
 
 @contextmanager
-def read_record(path):
-    """The JSON at path, for building a record from it.
+def read_record(path, block: bytes | None = None):
+    """The JSON at path, or the JSON block read from it, for building a record.
 
     A missing key, or a mistyped or unparsable value, met while reading it
     is a ValidationError naming the file; a ValidationError that the
     record's own constructor raises passes through unchanged.
     """
     try:
-        yield load_json(path)
+        yield load_json(path) if block is None else json.loads(block)
     except ValidationError:
         raise
     except KeyError as exc:

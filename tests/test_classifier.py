@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 
 import numpy as np
@@ -510,6 +511,32 @@ class TestSerialization:
         path = tmp_path / "three.bin"
         path.write_bytes(b"EMGL" + struct.pack("<II", 1, len(block)) + block + struct.pack("<Q", 0))
         with pytest.raises(ValidationError, match="two conv channel counts"):
+            load_model(path)
+
+    @pytest.mark.parametrize("damage, message", [
+        pytest.param(lambda data, spec_end: data[:6], "truncated header", id="magic-plus-2-bytes"),
+        pytest.param(lambda data, spec_end: data[: spec_end + 5], "truncated header",
+                     id="count-cut-short"),
+        pytest.param(lambda data, spec_end: data[:12] + b"{" * (spec_end - 12) + data[spec_end:],
+                     "malformed record", id="spec-block-not-json"),
+        pytest.param(lambda data, spec_end: data[: spec_end + 12], "truncated parameter block",
+                     id="params-cut-short"),
+    ])
+    def test_damaged_file_names_the_file(self, tmp_path, damage, message):
+        path = tmp_path / "m.bin"
+        save_model(init_model(SMALL, seed=1), path)
+        data = path.read_bytes()
+        path.write_bytes(damage(data, 12 + struct.unpack_from("<I", data, 8)[0]))
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: {message}"):
+            load_model(path)
+
+    def test_spec_block_missing_a_key(self, tmp_path):
+        spec = SMALL.as_dict()
+        del spec["n_classes"]
+        block = json.dumps({"spec": spec, "meta": {}}).encode()
+        path = tmp_path / "m.bin"
+        path.write_bytes(b"EMGL" + struct.pack("<II", 1, len(block)) + block + struct.pack("<Q", 0))
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: missing key 'n_classes'"):
             load_model(path)
 
     def test_bad_magic_rejected(self, tmp_path):

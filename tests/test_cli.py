@@ -376,6 +376,13 @@ class TestMalformedInputs:
         assert f"error: {sidecar}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "e.pgm").exists()
 
+    def test_damaged_model_file(self, tmp_path, capsys):
+        model = tmp_path / "m.bin"
+        model.write_bytes(b"EMGL\x01\x00")  # magic plus two bytes of the version
+        assert run(["attack", "--model", model, "--session", tmp_path, "-o", tmp_path / "r.json"]) == 2
+        assert f"error: {model}: truncated header" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_raster_region_without_height(self, tmp_path, capsys):
         raster = tmp_path / "m.pgm"
         assert run(["render", "--message", "123456", "--screen", "540x960", "-o", raster]) == 0

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -226,6 +228,19 @@ class TestPgmSerialization:
         p = tmp_path / "bad.pgm"
         p.write_bytes(b"P6\n1 1\n255\n\x00\x00\x00")
         with pytest.raises(ValidationError, match="not a binary PGM"):
+            read_pgm(p)
+
+    @pytest.mark.parametrize("header, message", [
+        (b"P5\nab 3\n255\n", r"PGM header fields \[b'ab', b'3', b'255'\] are not unsigned integers"),
+        (b"P5\n2 3\n2.5e2\n", "PGM header fields .* are not unsigned integers"),
+        (b"P5\n-2 -3\n255\n", "PGM header fields .* are not unsigned integers"),
+        (b"P5\n+2 1_0\n255\n", "PGM header fields .* are not unsigned integers"),  # int() would take these
+        (b"P5\n0 3\n255\n", "PGM size 0x3 must be positive"),
+    ])
+    def test_rejects_bad_header_fields(self, tmp_path, header, message):
+        p = tmp_path / "bad.pgm"
+        p.write_bytes(header + b"\x00" * 6)
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(p))}: {message}"):
             read_pgm(p)
 
 

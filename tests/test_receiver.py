@@ -6,7 +6,7 @@ import pytest
 
 from emgleam import receiver
 from emgleam.dataset import simulate
-from emgleam.emanator import ChannelModel, IqRecording, capture, emanate
+from emgleam.emanator import ChannelModel, DisplayTiming, IqRecording, capture, emanate
 from emgleam.errors import NoSyncError, ValidationError
 from emgleam.receiver import (
     Emage,
@@ -289,38 +289,40 @@ class TestFrameAlignmentOnPhones:
         pytest.param("honor6x", 11, id="honor6x-seed11"),
     ])
     def test_25db_grid_screen_starts_at_row_0(self, name, seed):
+        self.assert_starts_at_row_0(name, seed, 25.0)
+
+    # Screens whose per-row edge evidence sits only 3-4 blanking sigmas
+    # above the blanking level, where a band of guessed length ends 1-5
+    # rows off
+    @pytest.mark.parametrize("name,seed,snr_db", [
+        pytest.param("honor6x", 104, 20.0, id="honor6x-seed104-20dB"),
+        pytest.param("honor6x", 110, 20.0, id="honor6x-seed110-20dB"),
+        pytest.param("iphone6s", 209, 17.0, id="iphone6s-seed209-17dB"),
+        pytest.param("iphone6s", 211, 17.0, id="iphone6s-seed211-17dB"),
+    ])
+    def test_low_snr_grid_screen_starts_at_row_0(self, name, seed, snr_db):
+        self.assert_starts_at_row_0(name, seed, snr_db)
+
+    @staticmethod
+    def assert_starts_at_row_0(name, seed, snr_db):
         profile = get_profile(name)
-        noisy = phone_grid_emage(profile, seed, 25.0)
+        noisy = phone_grid_emage(profile, seed, snr_db)
         clean = phone_grid_emage(profile, seed, None)
         shifts = range(-16, 17)
         scores = [ncc(np.roll(noisy, s, axis=0), clean) for s in shifts]
         assert shifts[int(np.argmax(scores))] == 0
 
-
-class TestAveragingLaw:
-    def test_background_std_scales_with_sqrt_frames(self):
-        # 25 dB: strong enough that the min-max normalization scale is set
-        # by the signal, not by noise extremes, for every N
-        raster = random_grid_raster(8)
-        leak = emanate(raster, LAB_TIMING, LAB_LEAK, frames=8)
-        rec8 = capture(leak, ChannelModel(target_snr_db=25.0, rng_seed=3),
-                       LAB_FS, bandwidth_hz=LAB_BW)
-        frame_len = LAB_FS / LAB_TIMING.f_r
-
-        def bg_std(n):
-            rec = IqRecording(LAB_FS, rec8.center_freq_hz,
-                              rec8.samples[: int(round(n * frame_len))],
-                              rec8.timing, rec8.seed)
-            emage = reconstruct(rec, lab_params())
-            e = emage.pixels.mean(axis=1)
-            sums = np.convolve(e, np.ones(4), mode="valid")
-            j = int(np.argmin(sums))  # darkest band = blanking rows
-            return float(emage.pixels[j : j + 4].std())
-
-        base = bg_std(1)
-        for n in (2, 4, 8):
-            ratio = bg_std(n) / base
-            assert ratio == pytest.approx(n ** -0.5, rel=0.2)
+    def test_timing_without_vertical_blanking_is_not_rotated(self):
+        # a dark band mid-frame is the darkest window of any length, so
+        # only the timing's zero blanking lines keep it where it is
+        timing = DisplayTiming(LAB_TIMING.x_t, LAB_H, LAB_TIMING.f_r, LAB_W, LAB_H)
+        pix = np.ones((LAB_H, LAB_W), dtype=np.float32)
+        pix[50:70] = 0.0
+        leak = emanate(ScreenRaster(LAB_W, LAB_H, pix, []), timing, LAB_LEAK)
+        rec = capture(leak, ChannelModel(), LAB_FS, bandwidth_hz=LAB_BW)
+        avg = reconstruct(rec, ReconParams(timing.x_t, timing.y_t, timing.f_r)).pixels
+        assert receiver._frame_start_row(avg, 20) == 70
+        assert receiver._frame_start_row(avg, 0) == 0
 
 
 class TestMeasureSnr:
