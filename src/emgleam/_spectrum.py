@@ -18,14 +18,18 @@ linear in n and solved in closed form.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+from numpy.fft import fft, fftfreq, fftshift, rfft
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.fft import fft, fftfreq, fftshift, rfft
-from scipy.special import gammaincinv
 
 _WELCH_BLOCK = 128  # segments per FFT call; a block's spectra stay in cache
 # Periodogram resolution of noise calibration, and the SNR meter's default
 RESOLUTION_HZ = 25e3
+# ln Gamma(k + 1) - (k ln k - k + ln(2 pi k) / 2) = sum_i c_i / k^(2i+1),
+# Stirling's series; its next term is below 1e-21 for k > 100
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680)
 
 
 def welch_psd(x: np.ndarray, fs: float, resolution_hz: float):
@@ -48,12 +52,13 @@ def welch_psd(x: np.ndarray, fs: float, resolution_hz: float):
     buf = np.zeros((min(_WELCH_BLOCK, len(segments)) + 1, width))
     imag2 = np.empty_like(buf[1:])
     windowed = np.empty((len(imag2), nperseg), dtype=np.result_type(x, window))
+    spec = np.empty((len(imag2), width), dtype=np.complex128)
     for start in range(0, len(segments), _WELCH_BLOCK):
         block = segments[start : start + _WELCH_BLOCK]
         k = len(block)
-        spec = transform(np.multiply(block, window, out=windowed[:k]), axis=1, overwrite_x=True)
-        np.square(spec.real, out=buf[1 : k + 1])
-        buf[1 : k + 1] += np.square(spec.imag, out=imag2[:k])
+        transform(np.multiply(block, window, out=windowed[:k]), axis=1, out=spec[:k])
+        np.square(spec[:k].real, out=buf[1 : k + 1])
+        buf[1 : k + 1] += np.square(spec[:k].imag, out=imag2[:k])
         buf[0] = np.add.reduce(buf[: k + 1], axis=0)
     total = buf[0]
     if real:
@@ -68,9 +73,32 @@ def median_bias(n_segments: int) -> float:
     Each averaged bin of complex white noise is distributed like
     chi-square with 2K degrees of freedom scaled to unit mean, i.e.
     Gamma(K, 1/K); the median of that distribution sits slightly below 1.
+
+    The median x of Gamma(K, 1) solves P(K, x) = 1/2, found by Newton's
+    method from x = K - 1/3 + 8/(405 K).  P is the series
+    x^K e^-x / K! * (1 + sum_n prod_{j <= n} x / (K + j)), whose terms fall
+    off like exp(-n^2 / 2K).  Its prefactor is written with eps = x/K - 1
+    as exp(K (log1p(eps) - eps)) * K^K e^-K / K!, so the K log K terms
+    cancel before rounding; above K = 100, K^K e^-K / K! comes from
+    Stirling's series.
     """
     k = max(1, int(n_segments))
-    return float(gammaincinv(k, 0.5) / k)
+    if k <= 100:
+        scale = k**k / math.factorial(k) * math.exp(-k)
+    else:
+        stirling = sum(c / k ** (2 * i + 1) for i, c in enumerate(_STIRLING))
+        scale = math.exp(-stirling) / math.sqrt(2.0 * math.pi * k)
+    denominators = k + np.arange(1.0, int(10 * math.sqrt(k)) + 40)
+    x = k - 1.0 / 3.0 + 8.0 / (405.0 * k)
+    for _ in range(8):
+        eps = (x - k) / k
+        lead = math.exp(k * (math.log1p(eps) - eps)) * scale  # x^K e^-x / K!
+        p = lead * (1.0 + float(np.sum(np.cumprod(x / denominators))))
+        step = (p - 0.5) * x / (lead * k)  # dP/dx = x^(K-1) e^-x / (K-1)!
+        x -= step
+        if abs(step) <= 2e-16 * x:
+            break
+    return x / k
 
 
 def band_slice(freqs: np.ndarray, center_hz: float, band_hz: float):

@@ -48,7 +48,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-from scipy.fft import ifft, irfft, rfft
+from numpy.fft import ifft, irfft, rfft
 
 from ._spectrum import calibrate_noise_sigma
 from .errors import TuningError, ValidationError

@@ -155,7 +155,8 @@ def render_digit_grid(
     """Tile the screen into rows x cols cells, one digit glyph per cell.
 
     Cell size is floor(screen / cells); the union of cell rects is the grid
-    bounding rect and cells are pairwise disjoint.
+    bounding rect and cells are pairwise disjoint.  All cells share one
+    size, so each distinct symbol is rendered once.
     """
     digits = list(digits)
     if rows <= 0 or cols <= 0:
@@ -169,11 +170,13 @@ def render_digit_grid(
 
     lum = np.ones((screen_h, screen_w), dtype=np.float32)
     regions = []
+    patches = {}
     for r in range(rows):
         for c in range(cols):
             sym = digits[r * cols + c]
-            patch = render_symbols(sym, cell_w, cell_h, contrast)
-            lum[r * cell_h : (r + 1) * cell_h, c * cell_w : (c + 1) * cell_w] = patch
+            if sym not in patches:
+                patches[sym] = render_symbols(sym, cell_w, cell_h, contrast)
+            lum[r * cell_h : (r + 1) * cell_h, c * cell_w : (c + 1) * cell_w] = patches[sym]
             regions.append(LabeledRegion(c * cell_w, r * cell_h, cell_w, cell_h, sym))
     return ScreenRaster(screen_w, screen_h, lum, regions)
 

@@ -18,7 +18,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
+from numpy.fft import irfft, rfft
 
 from ._spectrum import RESOLUTION_HZ, band_slice, peak_over_median_db, welch_psd
 from .emanator import IqRecording
@@ -130,6 +130,21 @@ def am_demod(recording: IqRecording) -> np.ndarray:
     return out
 
 
+def _fast_len(n: int) -> int:
+    """Smallest 2^a * 3^b * 5^c >= n: a length whose real FFT runs only
+    radix-2, -3 and -5 passes.  Each 3^b * 5^c below the best length so
+    far is raised to n by the least power of two."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def estimate_frame_rate(
     magnitude: np.ndarray,
     sample_rate_hz: float,
@@ -170,7 +185,7 @@ def estimate_frame_rate(
     x = mag - mag.mean()
     n = len(x)
     w, m = hi - lo, n - lo
-    nfft = next_fast_len(min(_SYNC_BLOCK, m) + w, real=True)
+    nfft = _fast_len(min(_SYNC_BLOCK, m) + w)
     spec = np.zeros(nfft // 2 + 1, dtype=np.complex128)
     for i in range(0, m, _SYNC_BLOCK):
         cross = rfft(x[lo + i : lo + i + _SYNC_BLOCK + w], nfft)

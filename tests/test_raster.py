@@ -65,6 +65,20 @@ class TestDigitGrid:
         assert np.all(raster.luminance[:, 5 * cw :] == 1.0)
         assert np.all(raster.luminance[4 * ch :, :] == 1.0)
 
+    def test_equals_a_render_of_every_cell(self):
+        # each distinct digit is rendered once and reused; all ten occur
+        digits = [str(d) for d in np.random.default_rng(3).permutation(list(range(10)) * 2)]
+        raster = render_digit_grid(4, 5, digits, 103, 97, contrast=0.7)
+        cw, ch = 103 // 5, 97 // 4
+        lum = np.ones((97, 103), dtype=np.float32)
+        regions = []
+        for i, d in enumerate(digits):
+            x, y = (i % 5) * cw, (i // 5) * ch
+            lum[y : y + ch, x : x + cw] = render_symbols(d, cw, ch, 0.7)
+            regions.append(LabeledRegion(x, y, cw, ch, d))
+        assert np.array_equal(raster.luminance, lum)
+        assert raster.annotations == regions
+
     def test_determinism(self):
         a = render_digit_grid(3, 3, labels_for(9, 5), 60, 60)
         b = render_digit_grid(3, 3, labels_for(9, 5), 60, 60)

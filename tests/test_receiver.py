@@ -158,6 +158,13 @@ class TestEstimateFrameRate:
         with pytest.raises(ValidationError, match="2 frames"):
             estimate_frame_rate(np.ones(1000), LAB_FS, 60.0, 1000.0)
 
+    def test_fft_length_equals_scipy_next_fast_len(self):
+        from scipy.fft import next_fast_len
+
+        sample = np.random.default_rng(0).integers(1 << 17, 1 << 24, 2000)
+        for n in [*range(1, (1 << 17) + 1), *map(int, sample), 1 << 24]:
+            assert receiver._fast_len(n) == next_fast_len(n, real=True), n
+
 
 class TestReconstruct:
     def test_single_column_edges_at_expected_positions(self):

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -125,3 +126,57 @@ print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "[]"
+
+
+def test_runtime_loads_no_scipy():
+    # the CLI, one panel simulate and one SNR measurement run on numpy alone
+    code = """
+import sys, emgleam.cli
+from emgleam import ChannelModel, HardwareDim, capture, emanate, make_panel_profile, measure_snr
+from emgleam import render_eyechart, simulate
+panel = make_panel_profile(128, 192)
+screen = render_eyechart("E", 10, 128, 192)
+simulate(screen, HardwareDim(panel, 5e6, 2.5e6, 20.0), 0)
+leak = emanate(screen, panel.timing(), panel.leakage())
+measure_snr(capture(leak, ChannelModel(target_snr_db=20.0), 5e6, bandwidth_hz=2.5e6))
+print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
+"""
+    src = str(Path(emgleam.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
+
+
+def exact_gamma_median(k: int) -> Decimal:
+    # Q(k, x) = e^-x sum_{j<k} x^j / j! = 1/2 for integer k, by Newton at 50 digits
+    with localcontext() as ctx:
+        ctx.prec = 50
+        x = Decimal(k) - Decimal(1) / 3
+        for _ in range(100):
+            terms = [Decimal(1)]
+            for j in range(1, k):
+                terms.append(terms[-1] * x / j)
+            q = (-x).exp() * sum(terms)
+            step = (q - Decimal("0.5")) / ((-x).exp() * terms[-1])
+            x += step
+            if abs(step) < Decimal("1e-40"):
+                return x
+    raise AssertionError(f"no convergence at k={k}")
+
+
+def test_median_bias_equals_the_gamma_median():
+    from scipy.special import gammaincinv
+
+    def ulp_gap(a, b):
+        return abs(a - b) / np.spacing(b)
+
+    # below k = 21 scipy's own value is 3-4 ulp off the exact median at
+    # k = 2, 3, 7, 9, 10, 16, 17 and 18, so there the reference is exact
+    small = {k: ulp_gap(median_bias(k), float(exact_gamma_median(k) / k)) for k in range(1, 21)}
+    sparse = np.unique(np.geomspace(5000, 1e6, 400).astype(int))
+    large = {k: ulp_gap(median_bias(k), gammaincinv(k, 0.5) / k)
+             for k in [*range(21, 5001), *map(int, sparse)]}
+    print(f"median_bias largest gap: {max(small.values()):.0f} ulp from the exact median (k <= 20), "
+          f"{max(large.values()):.0f} ulp from scipy (k = 21..1e6)")
+    assert max(small.values()) <= 2
+    assert max(large.values()) <= 2
