@@ -8,7 +8,7 @@ chart letters with a small trained CNN.
 
 __version__ = "0.1.0"
 
-from .attack import ActivationMap, AttackReport, CodeResult, read_code, score, sliding_map
+from .attack import ActivationMap, AttackReport, CodeResult, attack_session, read_code, score, sliding_map
 from .classifier import (
     CnnModel,
     CnnSpec,

@@ -1,11 +1,11 @@
 """End-to-end security-code recovery and scoring.
 
 Reads a six-digit code out of an emage region by splitting it into six
-equal-width crops and classifying each, aggregates per-digit and per-code
-metrics (exact, at-least-5, at-least-4 correct), and scans full-screen
-emages with a sliding window whose per-position score is the classifier's
-confidence (one minus normalized softmax entropy averaged over the six
-digit blocks it covers).
+equal-width crops and classifying each, scores a code session's reads
+(per-digit; exact, at-least-5, at-least-4 correct codes), and scans
+full-screen emages with a sliding window whose per-position score is the
+classifier's confidence (one minus normalized softmax entropy averaged
+over the six digit blocks it covers).
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .classifier import CnnModel
+from .dataset import Session
 from .errors import ValidationError
 from .pgmio import write_pgm
 from .receiver import Emage
@@ -127,6 +128,18 @@ def score(items: list[CodeResult]) -> AttackReport:
         at_least_5_accuracy=float(np.mean(n_correct >= 5)),
         at_least_4_accuracy=float(np.mean(n_correct >= 4)),
     )
+
+
+def attack_session(session: Session, model: CnnModel) -> AttackReport:
+    """Read each code of a code session off its whole emage, and score the reads."""
+    if session.kind != "code":
+        raise ValidationError(f"session {session.id} is {session.kind!r}, need a code session")
+    results = []
+    for item in session.items:
+        emage = Emage.load(session.item_path(item))
+        predicted, _ = read_code(emage, (0, 0, emage.width_px, emage.height_px), model)
+        results.append(CodeResult(item.label, predicted))
+    return score(results)
 
 
 @dataclass

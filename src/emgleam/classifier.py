@@ -2,10 +2,10 @@
 
 The stack is the classic small-CNN recipe adapted to the reconstructed
 crop sizes: conv 5x5 -> pool 2x2 -> conv 5x5 -> pool 2x2 -> three dense
-layers, rectifier nonlinearities throughout, trained with minibatch Adam
-on softmax cross-entropy.  Forward, backward and the optimizer are
-implemented here directly; a finite-difference gradient check validates
-the backward pass.
+layers (3x3 convolutions on crops too small for 5x5), ReLU throughout,
+trained with minibatch Adam on softmax cross-entropy.  Forward, backward
+and the optimizer are implemented here directly; a finite-difference
+gradient check validates the backward pass.
 
 Between the input check and the flatten, activations are channel-major
 (C, N, H, W) maps, so each convolution's matrix product is its output
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -58,7 +58,7 @@ class CnnSpec:
     n_classes: int
     conv_channels: tuple[int, int] = (6, 16)
     fc_sizes: tuple[int, int] = (120, 84)
-    kernel: int = 5
+    kernel: int = field(init=False)  # 5, or 3 where two 5x5 conv+pool stages do not fit
 
     def __post_init__(self):
         if self.n_classes < 2:
@@ -68,14 +68,15 @@ class CnnSpec:
                                   f"{list(self.conv_channels)} and {list(self.fc_sizes)}")
         if min(self.conv_channels) < 1 or min(self.fc_sizes) < 1:
             raise ValidationError("zero-sized layer")
-        h, w = self.input_hw
-        for _ in range(2):
-            h, w = h - self.kernel + 1, w - self.kernel + 1
-            if h < 1 or w < 1:
-                raise ValidationError(f"input {self.input_hw} too small for two {self.kernel}x{self.kernel} convolutions")
-            h, w = h // 2, w // 2
-            if h < 1 or w < 1:
-                raise ValidationError(f"input {self.input_hw} pools away to nothing")
+        for kernel in (5, 3):
+            h, w = self.input_hw
+            for _ in range(2):  # a stage that leaves no pixel leaves every later size < 1
+                h, w = (h - kernel + 1) // 2, (w - kernel + 1) // 2
+            if h >= 1 and w >= 1:
+                break
+        else:
+            raise ValidationError(f"input {self.input_hw} too small for two 3x3 conv+pool stages")
+        object.__setattr__(self, "kernel", kernel)
         # flattened length of the last pooled map: an attribute, not a field,
         # so specs compare and serialise as before
         object.__setattr__(self, "flatten_size", self.conv_channels[1] * h * w)
@@ -91,13 +92,15 @@ class CnnSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CnnSpec":
-        return cls(
+        spec = cls(
             input_hw=tuple(d["input_hw"]),
             n_classes=int(d["n_classes"]),
             conv_channels=tuple(d["conv_channels"]),
             fc_sizes=tuple(d["fc_sizes"]),
-            kernel=int(d.get("kernel", 5)),
         )
+        if int(d.get("kernel", spec.kernel)) != spec.kernel:  # read_record names the file
+            raise ValueError(f"stored kernel {d['kernel']} is not input {spec.input_hw}'s {spec.kernel}")
+        return spec
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:

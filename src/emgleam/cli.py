@@ -288,10 +288,7 @@ def _cmd_train(args) -> int:
     ts = load_training_set(args.split)
     x_train, y_train, _ = load_items(root, ts.train)
     x_val, y_val, _ = load_items(root, ts.val)
-    try:
-        spec = CnnSpec(input_hw=x_train.shape[1:], n_classes=args.classes)
-    except ValidationError:  # crops too small for two 5x5 convolutions (galaxy_a3's 24x13)
-        spec = CnnSpec(input_hw=x_train.shape[1:], n_classes=args.classes, kernel=3)
+    spec = CnnSpec(input_hw=x_train.shape[1:], n_classes=args.classes)
     model = init_model(spec, seed=derive_seed(args.seed, "init"))
     result = train(
         model, (x_train, y_train), (x_val, y_val),
@@ -331,21 +328,12 @@ def _cmd_gradcheck(args) -> int:
 # ---------------------------------------------------------------- attack
 
 def _cmd_attack(args) -> int:
-    from .attack import CodeResult, read_code, score
+    from .attack import attack_session
     from .classifier import load_model
     from .dataset import load_session
-    from .receiver import Emage
 
     model = load_model(args.model)
-    session = load_session(args.session)
-    if session.kind != "code":
-        raise ValidationError(f"session {session.id} is {session.kind!r}, need a code session")
-    results = []
-    for item in session.items:
-        emage = Emage.load(session.item_path(item))
-        predicted, _ = read_code(emage, (0, 0, emage.width_px, emage.height_px), model)
-        results.append(CodeResult(item.label, predicted))
-    report = score(results)
+    report = attack_session(load_session(args.session), model)
     report.save(args.output, csv_path=args.csv)
     _echo_config(args.output, "attack", args)
     print(f"per-digit {report.per_digit_accuracy:.3f}  exact {report.exact_accuracy:.3f}  "

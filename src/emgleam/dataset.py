@@ -368,7 +368,6 @@ class TrainingSet:
     def as_dict(self) -> dict:
         return {
             "name": self.name,
-            "fractions": list(SPLIT_FRACTIONS),
             "train_sessions": list(self.plan.train_sessions),
             "test_sessions": list(self.plan.test_sessions),
             "train": self.train,
@@ -381,8 +380,7 @@ class TrainingSet:
 
 
 def load_training_set(path) -> TrainingSet:
-    # the "fractions" key (always SPLIT_FRACTIONS when written here) and the
-    # "mode" key of older split files (always "session") are ignored
+    # older split files' "fractions" and "mode" keys (always the defaults) are ignored
     with read_record(path) as d:
         plan = SplitPlan(
             train_sessions=tuple(d["train_sessions"]),

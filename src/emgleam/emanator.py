@@ -7,8 +7,8 @@ modulated onto a carrier at an harmonic of the pixel clock.  ``capture``
 then produces what a software-defined radio tuned near that carrier would
 record: the modulation spectrum band-limited to the capture bandwidth,
 sampled at the ADC rate, attenuated with near-field distance as
-amplitude ~ r^-2.5 (power density ~ r^-5), plus calibrated complex white
-noise.
+amplitude ~ r^-2.5 (power density ~ r^-5), plus complex white noise
+calibrated to the target SNR at r = 1.
 
 ``capture`` is two public steps.  ``clean_baseband`` does everything that
 does not depend on the noise: the synthesis and the noise calibration.
@@ -133,7 +133,8 @@ class LeakageModel:
 
 @dataclass
 class ChannelModel:
-    """Probe distance, target in-band SNR and the noise seed."""
+    """Probe distance, target in-band SNR at r = 1 and the noise seed; at
+    distance r the leak, and so the SNR, is 50 log10(r) dB lower."""
 
     distance_r: float = 1.0
     target_snr_db: float | None = None
@@ -378,10 +379,10 @@ def clean_baseband(
     Returns the noise-free recording (the distance-scaled leak, its seed
     channel.rng_seed; float64 samples when tuned to the carrier, whose
     baseband is real, else complex128) and the noise sigma calibrated
-    against it for channel.target_snr_db (None without a target).  The
-    recording's timing carries the refresh rate actually synthesised,
-    fs*Q/P (see ``_component_baseband``): the leak's own rate whenever
-    fs/f_r is exact.
+    against the leak at r = 1 for channel.target_snr_db (None without a
+    target), so distance lowers the SNR.  The recording's timing carries
+    the refresh rate actually synthesised, fs*Q/P (see
+    ``_component_baseband``): the leak's own rate whenever fs/f_r is exact.
     """
     if not (0 < sample_rate_hz < math.inf and 0 < bandwidth_hz < math.inf):
         raise ValidationError(
@@ -401,9 +402,9 @@ def clean_baseband(
         leak.samples, leak.timing.f_r, f_off, sample_rate_hz, half_band,
         round(leak.frames * period),
     )
-    samples *= channel.amplitude_scale
     sigma = (None if channel.target_snr_db is None
              else calibrate_noise_sigma(samples, sample_rate_hz, channel.target_snr_db))
+    samples *= channel.amplitude_scale
     clean = IqRecording(
         sample_rate_hz=sample_rate_hz,
         center_freq_hz=center_freq_hz,

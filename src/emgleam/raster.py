@@ -77,9 +77,6 @@ class ScreenRaster:
         if area > self.width_px * self.height_px:
             raise ValidationError("annotated area exceeds raster area")
 
-    def region_pixels(self, region: LabeledRegion) -> np.ndarray:
-        return self.luminance[region.y : region.y + region.h, region.x : region.x + region.w]
-
     def save(self, path) -> None:
         """Write PGM plus the JSON annotation sidecar (<path>.json)."""
         write_pgm(path, self.luminance)

@@ -26,6 +26,11 @@ def ncc(a: np.ndarray, b: np.ndarray) -> float:
     return float(a @ b / denom) if denom > 0 else 0.0
 
 
+def region_pixels(raster, region) -> np.ndarray:
+    """The raster's luminance inside one labeled region."""
+    return raster.luminance[region.y : region.y + region.h, region.x : region.x + region.w]
+
+
 def phone_hardware(profile, snr_db, frames=1) -> HardwareDim:
     """A phone profile captured at its own receiver rates, as sessions do."""
     return HardwareDim(profile, profile.sample_rate_hz, profile.bandwidth_hz, snr_db, frames=frames)

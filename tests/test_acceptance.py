@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from emgleam.attack import CodeResult, read_code, score, sliding_map
+from emgleam.attack import CodeResult, attack_session, score, sliding_map
 from emgleam.classifier import CnnSpec, TrainConfig, grad_check, init_model, save_model, train
 from emgleam.dataset import load_items, run_session, simulate
 from emgleam.emanator import (
@@ -166,20 +166,12 @@ def test_criterion_06_gradient_check():
 def test_criterion_07_end_to_end_digit_attack(digit_rig):
     """Per-digit accuracy >= 85% on held-out code sessions; training <= 1 h."""
     model = digit_rig.results["training4"].model
-    results = []
-    for session in digit_rig.code_sessions:
-        for item in session.items:
-            from emgleam.receiver import Emage
-
-            emage = Emage.load(session.item_path(item))
-            predicted, _ = read_code(emage, (0, 0, emage.width_px, emage.height_px), model)
-            results.append(CodeResult(item.label, predicted))
-    report = score(results)
+    report = score([it for s in digit_rig.code_sessions for it in attack_session(s, model).items])
     train_time = digit_rig.train_seconds["training4"]
     assert report.per_digit_accuracy >= 0.85
     assert train_time <= 3600.0
     announce(7, f"end-to-end per-digit accuracy {report.per_digit_accuracy:.3f} on "
-                f"{len(results)} codes (7-session training in {train_time:.0f} s) -- PASS")
+                f"{len(report.items)} codes (7-session training in {train_time:.0f} s) -- PASS")
     test_criterion_07_end_to_end_digit_attack.report = report
 
 
@@ -203,6 +195,7 @@ def test_criterion_08_partial_code_metrics(digit_rig):
     measured = (mc.exact_accuracy, mc.at_least_5_accuracy, mc.at_least_4_accuracy)
     for got, want in zip(measured, closed):
         assert abs(got - want) <= 0.005
+    assert abs(mc.per_digit_accuracy - p) <= 0.005
     announce(8, f"partial-code metrics monotone; Monte-Carlo vs closed form "
                 f"{[f'{g:.4f}/{w:.4f}' for g, w in zip(measured, closed)]} -- PASS")
 

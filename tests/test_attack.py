@@ -6,6 +6,7 @@ import pytest
 from emgleam.attack import (
     ActivationMap,
     CodeResult,
+    attack_session,
     read_code,
     score,
     sliding_map,
@@ -200,18 +201,20 @@ class TestSlidingMapGeometry:
 class TestReadCodeWithTrainedModel:
     def test_code_sessions_read_accurately(self, digit_rig):
         model = digit_rig.results["training4"].model
-        results = []
         for session in digit_rig.code_sessions:
-            for item in session.items:
+            report = attack_session(session, model)
+            # each item re-read alone: six digits, unit-sum probabilities, the same read
+            for item, result in zip(session.items, report.items, strict=True):
                 emage = Emage.load(session.item_path(item))
                 predicted, probs = read_code(
                     emage, (0, 0, emage.width_px, emage.height_px), model
                 )
                 assert len(predicted) == 6
                 assert all(p.sum() == pytest.approx(1.0, abs=1e-5) for p in probs)
-                results.append(CodeResult(item.label, predicted))
-        report = score(results)
-        assert report.per_digit_accuracy >= 0.85
+                assert result == CodeResult(item.label, predicted)
+            assert report.per_digit_accuracy >= 0.85
+        with pytest.raises(ValidationError, match="s0 is 'grid', need a code session"):
+            attack_session(digit_rig.grid_sessions[0], model)
 
     def test_repeated_digit_code_gives_six_identical_predictions(self, digit_rig):
         from emgleam.raster import render_security_message

@@ -154,8 +154,17 @@ class TestInit:
     def test_zero_sized_layer_rejected(self):
         with pytest.raises(ValidationError):
             CnnSpec((31, 21), 10, conv_channels=(0, 16))
-        with pytest.raises(ValidationError):
-            CnnSpec((6, 6), 10)  # pools away to nothing
+        with pytest.raises(ValidationError, match=r"too small for two 3x3 conv\+pool stages"):
+            CnnSpec((6, 6), 10)
+
+    @pytest.mark.parametrize("hw, kernel", [
+        ((31, 21), 5), ((31, 20), 5), ((45, 21), 5), ((32, 32), 5),  # phone digits, testbed letters
+        ((20, 16), 5), ((24, 18), 5), ((22, 22), 5),  # the gradient-check specs
+        ((24, 13), 3), ((31, 16), 5), ((31, 15), 3),  # galaxy_a3 digits; the width 5x5 needs
+    ])
+    def test_input_picks_the_kernel(self, hw, kernel):
+        assert CnnSpec(hw, 10).kernel == kernel
+        pytest.raises(TypeError, CnnSpec, hw, 10, kernel=kernel)  # not a setting
 
     @pytest.mark.parametrize("conv, fc", [((2,), (8, 6)), ((2, 3, 4), (8, 6)), ((2, 3), (8,)), ((2, 3), ())])
     def test_layer_lists_need_two_entries(self, conv, fc):
@@ -196,7 +205,7 @@ class TestForward:
 
     @pytest.mark.parametrize("spec", [
         CnnSpec((32, 32), 12, conv_channels=(12, 32), fc_sizes=(240, 120)),  # the testbed's letter spec
-        CnnSpec((24, 13), 10, kernel=3),  # a galaxy_a3 digit
+        CnnSpec((24, 13), 10),  # a galaxy_a3 digit: 3x3 kernels
     ], ids=["letter", "kernel3"])
     def test_inference_equals_the_training_forward(self, spec):
         # the record-free inference path gives forward's bits, chunk for chunk,
@@ -521,6 +530,9 @@ class TestSerialization:
                      "malformed record", id="spec-block-not-json"),
         pytest.param(lambda data, spec_end: data[: spec_end + 12], "truncated parameter block",
                      id="params-cut-short"),
+        pytest.param(lambda data, spec_end: data.replace(b'"kernel": 5', b'"kernel": 3'),
+                     r"malformed record \(stored kernel 3 is not input \(20, 16\)'s 5\)",
+                     id="stored-kernel-disagrees"),
     ])
     def test_damaged_file_names_the_file(self, tmp_path, damage, message):
         path = tmp_path / "m.bin"

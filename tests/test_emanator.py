@@ -27,6 +27,7 @@ from emgleam.emanator import (
 from emgleam.errors import TuningError, ValidationError
 from emgleam.profiles import PROFILES, get_profile
 from emgleam.raster import ScreenRaster, blank_screen
+from emgleam.receiver import measure_snr
 from emgleam.testbed import make_panel_profile
 
 from helpers import LAB_BW, LAB_FS, LAB_LEAK, LAB_TIMING, LAB_H, LAB_W, random_grid_raster
@@ -138,6 +139,17 @@ class TestCapture:
         mask = np.abs(near.samples) > 1e-6
         ratio = far.samples[mask] / near.samples[mask]
         assert np.max(np.abs(ratio - scale)) < 1e-6
+
+    def test_noise_is_calibrated_at_unit_distance(self):
+        # the leak falls as r^-2.5 bit for bit; the noise stays where target_snr_db puts it at r = 1
+        leak = emanate(random_grid_raster(0), LAB_TIMING, LAB_LEAK, frames=2)
+        near, sigma_near = clean_baseband(leak, ChannelModel(target_snr_db=30.0), LAB_FS, bandwidth_hz=LAB_BW)
+        far_channel = ChannelModel(distance_r=2.0, target_snr_db=30.0)
+        far, sigma_far = clean_baseband(leak, far_channel, LAB_FS, bandwidth_hz=LAB_BW)
+        assert sigma_far == sigma_near
+        assert np.array_equal(far.samples, near.samples * 2.0 ** -2.5)
+        far_snr = measure_snr(capture(leak, far_channel, LAB_FS, bandwidth_hz=LAB_BW))
+        assert far_snr == pytest.approx(30.0 - 50 * np.log10(2.0), abs=0.5)  # 14.97 dB
 
     def test_linearity_in_leak(self):
         raster = random_grid_raster(5)
@@ -441,8 +453,6 @@ class TestRealBaseband:
 
 class TestSnrCalibrationRange:
     def test_targets_across_the_working_range(self):
-        from emgleam.receiver import measure_snr
-
         leak = emanate(random_grid_raster(1), LAB_TIMING, LAB_LEAK, frames=2)
         for target in (0.0, 5.0, 15.0, 30.0, 40.0):
             rec = capture(leak, ChannelModel(target_snr_db=target, rng_seed=int(target)),

@@ -19,6 +19,8 @@ from emgleam.raster import (
     render_symbols,
 )
 
+from helpers import region_pixels
+
 
 def labels_for(n, seed=0):
     rng = np.random.default_rng(seed)
@@ -39,7 +41,7 @@ class TestDigitGrid:
         region = raster.annotations[0]
         assert region.label == "0"
         expected = render_symbols("0", region.w, region.h)
-        assert np.array_equal(raster.region_pixels(region), expected)
+        assert np.array_equal(region_pixels(raster, region), expected)
 
     def test_2x3_tiling_area_and_label_readback(self):
         digits = ["1", "2", "3", "4", "5", "6"]
@@ -50,7 +52,7 @@ class TestDigitGrid:
         for region in raster.annotations:
             matches = [
                 d for d in "0123456789"
-                if np.array_equal(raster.region_pixels(region), render_symbols(d, region.w, region.h))
+                if np.array_equal(region_pixels(raster, region), render_symbols(d, region.w, region.h))
             ]
             assert matches == [region.label]
 
@@ -110,7 +112,7 @@ class TestSecurityMessage:
     def test_repeated_digit_gives_six_identical_subrasters(self):
         raster = render_security_message("000000", 750, 1334)
         region = raster.annotations[0]
-        pix = raster.region_pixels(region)
+        pix = region_pixels(raster, region)
         w = region.w // 6
         parts = [pix[:, i * w : (i + 1) * w] for i in range(6)]
         for part in parts[1:]:
@@ -180,10 +182,10 @@ class TestLabelFidelity:
         raster = render_digit_grid(2, 2, ["7", "3", "0", "9"], 80, 100)
         for region in raster.annotations:
             patch = render_symbols(region.label, region.w, region.h)
-            assert np.array_equal(raster.region_pixels(region), patch)
+            assert np.array_equal(region_pixels(raster, region), patch)
         msg = render_security_message("405162", 750, 1334)
         region = msg.annotations[0]
-        assert np.array_equal(msg.region_pixels(region), render_symbols(region.label, region.w, region.h))
+        assert np.array_equal(region_pixels(msg, region), render_symbols(region.label, region.w, region.h))
 
 
 class TestRasterType:
@@ -207,7 +209,7 @@ class TestRasterType:
         out = paste(base, grid, 7, 11)
         region = out.annotations[0]
         assert (region.x, region.y) == (7, 11)
-        assert np.array_equal(out.region_pixels(region), grid.luminance)
+        assert np.array_equal(region_pixels(out, region), grid.luminance)
 
 
 class TestPgmSerialization:
