@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -80,15 +80,6 @@ class CnnSpec:
         # flattened length of the last pooled map: an attribute, not a field,
         # so specs compare and serialise as before
         object.__setattr__(self, "flatten_size", self.conv_channels[1] * h * w)
-
-    def as_dict(self) -> dict:
-        return {
-            "input_hw": list(self.input_hw),
-            "n_classes": self.n_classes,
-            "conv_channels": list(self.conv_channels),
-            "fc_sizes": list(self.fc_sizes),
-            "kernel": self.kernel,
-        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "CnnSpec":
@@ -558,7 +549,7 @@ def grad_check(
 
 def save_model(model: CnnModel, path) -> None:
     """Binary weight file: magic, format version, spec block, f32 params."""
-    spec_block = json.dumps({"spec": model.spec.as_dict(), "meta": model.meta}, sort_keys=True).encode()
+    spec_block = json.dumps({"spec": asdict(model.spec), "meta": model.meta}, sort_keys=True).encode()
     params = model.flat_params().astype("<f4")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -6,11 +6,11 @@ One command with subcommands covering the whole pipeline:
     train | gradcheck | attack | testbed
 
 Exit codes: 0 success, 1 usage error, 2 data/validation error, 3 pipeline
-stage failure.  Every run writes a resolved-config echo file
-(<output>.config.json) capturing all effective parameters, and all
-randomness fans out from --seed via a stage-name hash (util.derive_seed).
-The environment variable EMGLEAM_DATA_DIR supplies the default dataset
-root.
+stage failure; a missing input file is a data error (exit 2).  Every run
+writes a resolved-config echo file (<output>.config.json) capturing all
+effective parameters, and all randomness fans out from --seed via a
+stage-name hash (util.derive_seed).  The environment variable
+EMGLEAM_DATA_DIR supplies the default dataset root.
 """
 
 from __future__ import annotations
@@ -18,13 +18,24 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from ._spectrum import RESOLUTION_HZ
+from .attack import attack_session
+from .classifier import CnnSpec, TrainConfig, grad_check, init_model, load_model, save_model, train
+from .dataset import (build_training_sets, grid_crop, load_items, load_session, load_training_set,
+                      run_code_session, run_session)
+from .emanator import ChannelModel, IqRecording, capture, emanate
 from .errors import EmgleamError, ValidationError
+from .pgmio import write_pgm
+from .profiles import PROFILES, get_profile
+from .raster import ScreenRaster, render_digit_grid, render_eyechart, render_security_message
+from .receiver import Emage, ReconParams, measure_snr, reconstruct
+from .testbed import parse_spec_file, run_testbed
 from .util import derive_seed, dump_json
 
 _USAGE_EXIT = 1
@@ -93,8 +104,6 @@ def _given(value, default):
 # ----------------------------------------------------------------- render
 
 def _cmd_render(args) -> int:
-    from .raster import render_digit_grid, render_eyechart, render_security_message
-
     w, h = _parse_wh(args.screen)
     modes = [bool(args.digit_grid), args.message is not None, args.eyechart is not None]
     if sum(modes) != 1:
@@ -123,10 +132,6 @@ def _cmd_render(args) -> int:
 # ---------------------------------------------------------------- emanate
 
 def _cmd_emanate(args) -> int:
-    from .emanator import ChannelModel, capture, emanate
-    from .profiles import get_profile
-    from .raster import ScreenRaster
-
     profile = get_profile(args.profile)
     raster = ScreenRaster.load(args.raster)
     timing = profile.timing()
@@ -154,10 +159,6 @@ def _cmd_emanate(args) -> int:
 # ------------------------------------------------------------ reconstruct
 
 def _cmd_reconstruct(args) -> int:
-    from .emanator import IqRecording
-    from .profiles import get_profile
-    from .receiver import ReconParams, reconstruct
-
     recording = IqRecording.load(args.recording)
     if args.profile:
         profile = get_profile(args.profile)
@@ -170,7 +171,7 @@ def _cmd_reconstruct(args) -> int:
     params = ReconParams(width, height, f_r)
     emage = reconstruct(recording, params)
     emage.save(args.output)
-    _echo_config(args.output, "reconstruct", args, {"params": params.as_dict()})
+    _echo_config(args.output, "reconstruct", args, {"params": asdict(params)})
     print(f"wrote {args.output} ({emage.width_px}x{emage.height_px}, "
           f"{emage.frames_averaged} frames averaged)")
     return 0
@@ -179,9 +180,6 @@ def _cmd_reconstruct(args) -> int:
 # ------------------------------------------------------------------- snr
 
 def _cmd_snr(args) -> int:
-    from .emanator import IqRecording
-    from .receiver import measure_snr
-
     recording = IqRecording.load(args.recording)
     value = measure_snr(
         recording,
@@ -199,9 +197,6 @@ def _cmd_snr(args) -> int:
 # --------------------------------------------------------------- session
 
 def _cmd_session(args) -> int:
-    from .dataset import run_code_session, run_session
-    from .profiles import get_profile
-
     root = _data_dir(args.output)
     profile = get_profile(args.profile)
     if args.snr.lower() in ("none", "off"):
@@ -232,10 +227,6 @@ def _cmd_session(args) -> int:
 # ------------------------------------------------------------------ crop
 
 def _cmd_crop(args) -> int:
-    from .dataset import grid_crop
-    from .pgmio import write_pgm
-    from .receiver import Emage
-
     emage = Emage.load(args.emage)
     cw, ch = _parse_wh(args.cell)
     crops = grid_crop(emage, args.rows, args.cols, cw, ch)
@@ -254,8 +245,6 @@ def _cmd_crop(args) -> int:
 # ----------------------------------------------------------------- split
 
 def _cmd_split(args) -> int:
-    from .dataset import build_training_sets, load_session
-
     root = _data_dir(args.dataset)
     sessions_dir = root / "sessions"
     if not sessions_dir.is_dir():
@@ -281,9 +270,6 @@ def _cmd_split(args) -> int:
 # ----------------------------------------------------------------- train
 
 def _cmd_train(args) -> int:
-    from .classifier import CnnSpec, TrainConfig, init_model, save_model, train
-    from .dataset import load_items, load_training_set
-
     root = _data_dir(args.dataset)
     ts = load_training_set(args.split)
     x_train, y_train, _ = load_items(root, ts.train)
@@ -297,7 +283,7 @@ def _cmd_train(args) -> int:
     )
     save_model(result.model, args.output)
     result.save_history(str(args.output) + ".history.json")
-    _echo_config(args.output, "train", args, {"spec": spec.as_dict()})
+    _echo_config(args.output, "train", args, {"spec": asdict(spec)})
     print(f"best val accuracy {result.best_val_accuracy:.4f} at epoch {result.best_epoch}; "
           f"wrote {args.output}")
     return 0
@@ -306,19 +292,12 @@ def _cmd_train(args) -> int:
 # ------------------------------------------------------------- gradcheck
 
 def _cmd_gradcheck(args) -> int:
-    from .classifier import CnnSpec, grad_check
-
     h, w = _parse_wh(args.input)
     spec = CnnSpec((h, w), args.classes, conv_channels=_parse_ints(args.conv, "--conv"),
                    fc_sizes=_parse_ints(args.fc, "--fc"))
     report = grad_check(spec, tolerance=args.tolerance, seed=args.seed)
     if args.output:
-        dump_json(args.output, {
-            "max_rel_error": report.max_rel_error,
-            "n_checked": report.n_checked,
-            "tolerance": report.tolerance,
-            "passed": report.passed,
-        })
+        dump_json(args.output, {**asdict(report), "passed": report.passed})
         _echo_config(args.output, "gradcheck", args)
     print(f"max relative error {report.max_rel_error:.3e} over {report.n_checked} "
           f"coordinates ({'PASS' if report.passed else 'FAIL'})")
@@ -328,10 +307,6 @@ def _cmd_gradcheck(args) -> int:
 # ---------------------------------------------------------------- attack
 
 def _cmd_attack(args) -> int:
-    from .attack import attack_session
-    from .classifier import load_model
-    from .dataset import load_session
-
     model = load_model(args.model)
     report = attack_session(load_session(args.session), model)
     report.save(args.output, csv_path=args.csv)
@@ -344,8 +319,6 @@ def _cmd_attack(args) -> int:
 # --------------------------------------------------------------- testbed
 
 def _cmd_testbed(args) -> int:
-    from .testbed import parse_spec_file, run_testbed
-
     spec = parse_spec_file(args.spec)
     report = run_testbed(spec, seed=derive_seed(args.seed, "testbed"))
     outdir = Path(args.output)
@@ -357,8 +330,6 @@ def _cmd_testbed(args) -> int:
 
 
 def build_parser() -> _Parser:
-    from .profiles import PROFILES
-
     parser = _Parser(
         prog="emgleam",
         description="Simulated display-cable emanation capture, emage reconstruction "
@@ -499,7 +470,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ValidationError as exc:
+    except (ValidationError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _VALIDATION_EXIT
     except (EmgleamError, OSError) as exc:

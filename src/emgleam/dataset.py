@@ -256,7 +256,6 @@ def run_session(
     frames: int = 1,
     target_snr_db: float | None = None,
     distance_r: float = 1.0,
-    contrast: float = 1.0,
     workers: int = 1,
 ) -> Session:
     """Simulated multi-crop grid acquisition session.
@@ -280,7 +279,7 @@ def run_session(
 
     def one_screen(s: int):
         digits = plan[s * rows * cols : (s + 1) * rows * cols]
-        grid = render_digit_grid(rows, cols, digits, cols * cell_w, rows * cell_h, contrast)
+        grid = render_digit_grid(rows, cols, digits, cols * cell_w, rows * cell_h)
         screen = paste(blank_screen(profile.visible_w, profile.visible_h), grid, 0, 0)
         return simulate(screen, hardware, derive_seed(seed, "screen", s)), digits
 
@@ -317,8 +316,7 @@ def run_code_session(
     if n_codes < 1:
         raise ValidationError(f"code session needs n_codes >= 1, got {n_codes}")
     hardware = _profile_hardware(profile, frames, target_snr_db, distance_r)
-    digit_w = profile.grid_content_w // 40
-    digit_h = profile.grid_content_h // 40
+    digit_w, digit_h = profile.grid_cell()
 
     rng = np.random.default_rng(derive_seed(seed, "codes"))
     codes = ["".join(str(d) for d in rng.integers(0, 10, 6)) for _ in range(n_codes)]

@@ -43,7 +43,7 @@ P = 1,250,000 = 2^4 * 5^8 and Q = 3 the kept bins align with no FFT stage.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -100,15 +100,6 @@ class DisplayTiming:
             visible_w=visible_w,
             visible_h=visible_h,
         )
-
-    def as_dict(self) -> dict:
-        return {
-            "x_t": self.x_t,
-            "y_t": self.y_t,
-            "f_r": self.f_r,
-            "visible_w": self.visible_w,
-            "visible_h": self.visible_h,
-        }
 
 
 @dataclass(frozen=True)
@@ -176,7 +167,7 @@ class IqRecording:
         return {
             "sample_rate_hz": self.sample_rate_hz,
             "center_freq_hz": self.center_freq_hz,
-            "timing": self.timing.as_dict(),
+            "timing": asdict(self.timing),
             "seed": self.seed,
         }
 

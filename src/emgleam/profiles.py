@@ -32,7 +32,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from .emanator import DisplayTiming, LeakageModel
 from .errors import ValidationError
+from .receiver import ReconParams
 
 
 @dataclass(frozen=True)
@@ -74,19 +76,13 @@ class PhoneProfile:
         cw, ch = self.grid_cell(rows, cols)
         return int(cw * self.x_scale), ch  # vertical mapping is 1:1
 
-    def timing(self):
-        from .emanator import DisplayTiming
-
+    def timing(self) -> DisplayTiming:
         return DisplayTiming(self.x_t, self.y_t, self.f_r, self.visible_w, self.visible_h)
 
-    def leakage(self, coupling_gain: float = 1.0, highpass_alpha: float = 0.0):
-        from .emanator import LeakageModel
-
+    def leakage(self, coupling_gain: float = 1.0, highpass_alpha: float = 0.0) -> LeakageModel:
         return LeakageModel(self.harmonic, coupling_gain, highpass_alpha)
 
-    def recon_params(self, **overrides):
-        from .receiver import ReconParams
-
+    def recon_params(self, **overrides) -> ReconParams:
         kw = dict(width_px=self.recon_w, height_px=self.recon_h, f_r_hz=self.f_r)
         kw.update(overrides)
         return ReconParams(**kw)

@@ -12,7 +12,7 @@ bit-deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -43,9 +43,6 @@ class LabeledRegion:
     def __post_init__(self):
         if self.w <= 0 or self.h <= 0:
             raise ValidationError(f"region {self.label!r} has empty rect {self.w}x{self.h}")
-
-    def as_dict(self) -> dict:
-        return {"x": self.x, "y": self.y, "w": self.w, "h": self.h, "label": self.label}
 
 
 @dataclass
@@ -80,7 +77,7 @@ class ScreenRaster:
     def save(self, path) -> None:
         """Write PGM plus the JSON annotation sidecar (<path>.json)."""
         write_pgm(path, self.luminance)
-        dump_json(str(path) + ".json", [r.as_dict() for r in self.annotations])
+        dump_json(str(path) + ".json", [asdict(r) for r in self.annotations])
 
     @classmethod
     def load(cls, path) -> "ScreenRaster":

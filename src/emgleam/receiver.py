@@ -15,7 +15,7 @@ whose scores sum lowest.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from numpy.fft import irfft, rfft
@@ -61,13 +61,6 @@ class ReconParams:
             raise ValidationError("reconstruction grid must be positive")
         if not self.f_r_hz > 0:
             raise ValidationError("frame rate must be positive")
-
-    def as_dict(self) -> dict:
-        return {
-            "width_px": self.width_px,
-            "height_px": self.height_px,
-            "f_r_hz": self.f_r_hz,
-        }
 
 
 @dataclass
@@ -315,7 +308,7 @@ def reconstruct(recording: IqRecording, params: ReconParams) -> Emage:
         height_px=h,
         pixels=norm.astype(np.float32),
         frames_averaged=n_frames,
-        source_meta={"params": params.as_dict(), "source": recording.sidecar()},
+        source_meta={"params": asdict(params), "source": recording.sidecar()},
     )
 
 

@@ -6,6 +6,7 @@ import numpy as np
 
 from emgleam.dataset import HardwareDim
 from emgleam.emanator import DisplayTiming, LeakageModel, _periodic_highpass, video_waveform
+from emgleam.raster import render_digit_grid
 
 # Small panel whose pixel clock (~865 kHz) fits entirely inside the default
 # capture band, so captures are effectively lossless and fast.
@@ -37,8 +38,6 @@ def phone_hardware(profile, snr_db, frames=1) -> HardwareDim:
 
 
 def random_grid_raster(seed: int, rows: int = 3, cols: int = 4):
-    from emgleam.raster import render_digit_grid
-
     rng = np.random.default_rng(seed)
     digits = [str(d) for d in rng.integers(0, 10, rows * cols)]
     return render_digit_grid(rows, cols, digits, LAB_W, LAB_H)

@@ -15,6 +15,7 @@ from emgleam.attack import (
 from emgleam.classifier import CnnSpec, init_model
 from emgleam.dataset import load_items, simulate
 from emgleam.errors import ValidationError
+from emgleam.raster import blank_screen, render_security_message
 from emgleam.receiver import Emage
 
 from helpers import phone_hardware
@@ -217,8 +218,6 @@ class TestReadCodeWithTrainedModel:
             attack_session(digit_rig.grid_sessions[0], model)
 
     def test_repeated_digit_code_gives_six_identical_predictions(self, digit_rig):
-        from emgleam.raster import render_security_message
-
         profile = digit_rig.profile
         screen = render_security_message("000000", profile.visible_w, profile.visible_h,
                                          digit_w=18, digit_h=31, x_align=profile.x_align)
@@ -265,8 +264,6 @@ class TestReadCodeWithTrainedModel:
         # activation argmax by exactly one map cell; the canvas is cut from
         # a blank screen reconstructed like the code session's screens,
         # which is what surrounds a code in a real emage
-        from emgleam.raster import blank_screen
-
         model = digit_rig.results["training4"].model
         session = digit_rig.code_sessions[0]
         crop = Emage.load(session.item_path(session.items[0])).pixels

@@ -1,6 +1,7 @@
 import json
 import re
 import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -516,7 +517,7 @@ class TestSerialization:
         assert np.allclose(model.forward(x), again.forward(x), atol=1e-6)
 
     def test_spec_with_three_conv_layers_rejected(self, tmp_path):
-        block = json.dumps({"spec": {**SMALL.as_dict(), "conv_channels": [2, 3, 4]}, "meta": {}}).encode()
+        block = json.dumps({"spec": {**asdict(SMALL), "conv_channels": [2, 3, 4]}, "meta": {}}).encode()
         path = tmp_path / "three.bin"
         path.write_bytes(b"EMGL" + struct.pack("<II", 1, len(block)) + block + struct.pack("<Q", 0))
         with pytest.raises(ValidationError, match="two conv channel counts"):
@@ -543,7 +544,7 @@ class TestSerialization:
             load_model(path)
 
     def test_spec_block_missing_a_key(self, tmp_path):
-        spec = SMALL.as_dict()
+        spec = asdict(SMALL)
         del spec["n_classes"]
         block = json.dumps({"spec": spec, "meta": {}}).encode()
         path = tmp_path / "m.bin"

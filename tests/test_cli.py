@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from emgleam.classifier import CnnSpec, init_model, save_model
 from emgleam.cli import build_parser, main
 from emgleam.emanator import DisplayTiming, IqRecording
 
@@ -383,6 +384,24 @@ class TestMalformedInputs:
         assert run([command, path, *outputs]) == 2
         assert f"error: {sidecar}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "e.pgm").exists()
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(lambda tmp, none: ["reconstruct", none, "-o", tmp / "e.pgm"], id="reconstruct-recording"),
+        pytest.param(lambda tmp, none: ["emanate", none, "--profile", "galaxy_a3", "-o", tmp / "m.iq"],
+                     id="emanate-raster"),
+        pytest.param(lambda tmp, none: ["attack", "--model", none, "--session", tmp, "-o", tmp / "r.json"],
+                     id="attack-model"),
+        pytest.param(lambda tmp, none: ["attack", "--model", tmp / "m.bin", "--session", none,
+                                        "-o", tmp / "r.json"], id="attack-session"),
+        pytest.param(lambda tmp, none: ["train", "--dataset", tmp, "--split", none, "-o", tmp / "t.bin"],
+                     id="train-split"),
+    ])
+    def test_missing_input_file(self, tmp_path, capsys, argv):
+        save_model(init_model(CnnSpec((24, 13), 10), seed=0), tmp_path / "m.bin")
+        missing = tmp_path / "none"
+        assert run(argv(tmp_path, missing)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(missing) in err
 
     def test_damaged_model_file(self, tmp_path, capsys):
         model = tmp_path / "m.bin"

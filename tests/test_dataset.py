@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 from collections import Counter
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from emgleam import dataset
 from emgleam.dataset import (
     HardwareDim,
     Session,
@@ -20,8 +22,11 @@ from emgleam.dataset import (
     run_session,
 )
 from emgleam.errors import ValidationError
+from emgleam.pgmio import write_pgm
 from emgleam.profiles import get_profile
+from emgleam.raster import render_digit_grid
 from emgleam.receiver import Emage
+from emgleam.util import dump_json
 
 
 def tree_hash(directory) -> str:
@@ -85,10 +90,7 @@ class TestGridSession:
         _, session = small_grid_session
         assert len(session.items) == 40 * 40 * 1
         # the spec's default corpus: 40x40 cells over 20 screens per session
-        import inspect
-        from emgleam.dataset import run_session as rs
-
-        sig = inspect.signature(rs)
+        sig = inspect.signature(run_session)
         defaults = {k: v.default for k, v in sig.parameters.items()}
         assert defaults["rows"] * defaults["cols"] * defaults["screens"] == 32000
 
@@ -194,10 +196,7 @@ def test_non_finite_snr_is_validation_error(snr):
 
 class TestCodeSession:
     def test_default_parameters_match_protocol(self):
-        import inspect
-        from emgleam.dataset import run_code_session as rcs
-
-        sig = inspect.signature(rcs)
+        sig = inspect.signature(run_code_session)
         defaults = {k: v.default for k, v in sig.parameters.items()}
         assert defaults["n_codes"] == 200  # 200 messages per test session
         assert defaults["frames"] == 2  # each frame repeated twice
@@ -215,10 +214,12 @@ class TestCodeSession:
 
 
 class TestQualityGate:
-    def test_contrast_zero_session_is_flagged(self, tmp_path):
+    def test_contrast_zero_session_is_flagged(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dataset, "render_digit_grid",
+                            lambda *args: render_digit_grid(*args, contrast=0.0))
         profile = get_profile("iphone6s")
         session = run_session(profile, tmp_path, session_id="blank", rows=8, cols=8,
-                              screens=1, seed=1, target_snr_db=None, contrast=0.0)
+                              screens=1, seed=1, target_snr_db=None)
         assert session.quality["mean_dynamic_range"] < 0.2
         assert session.flagged
 
@@ -233,9 +234,6 @@ class TestQualityGate:
 class TestTrainingSets:
     def make_sessions(self, tmp_path, n=9):
         # lightweight synthetic sessions: hand-written manifests and items
-        from emgleam.pgmio import write_pgm
-        from emgleam.util import dump_json
-
         sessions = []
         for i in range(n):
             sid = f"s{i}"
