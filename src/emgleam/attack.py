@@ -20,7 +20,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .classifier import CnnModel
 from .dataset import Session
 from .errors import ValidationError
-from .pgmio import write_pgm
 from .receiver import Emage
 from .util import dump_json
 
@@ -152,17 +151,6 @@ class ActivationMap:
         """Rect (x, y, w, h) of the highest-scoring window position."""
         r, c = np.unravel_index(int(np.argmax(self.scores)), self.scores.shape)
         return (c * self.strides[0], r * self.strides[1], self.window[0], self.window[1])
-
-    def save(self, json_path, pgm_path=None) -> None:
-        dump_json(json_path, {
-            "scores": [[float(v) for v in row] for row in self.scores],
-            "window": {"w": self.window[0], "h": self.window[1]},
-            "strides": {"x": self.strides[0], "y": self.strides[1]},
-        })
-        if pgm_path is not None:
-            lo, hi = float(self.scores.min()), float(self.scores.max())
-            heat = (self.scores - lo) / (hi - lo) if hi > lo else np.full_like(self.scores, 0.5)
-            write_pgm(pgm_path, heat)
 
 
 def sliding_map(emage: Emage, model: CnnModel) -> ActivationMap:

@@ -8,8 +8,9 @@ One command with subcommands covering the whole pipeline:
 Exit codes: 0 success, 1 usage error, 2 data/validation error, 3 pipeline
 stage failure; a missing input file is a data error (exit 2).  Every run
 writes a resolved-config echo file (<output>.config.json) capturing all
-effective parameters, and all randomness fans out from --seed via a
-stage-name hash (util.derive_seed).  The environment variable
+effective parameters.  The seeded commands (render, emanate, session,
+split, train, gradcheck, testbed) fan all randomness out from --seed via
+a stage-name hash (util.derive_seed).  The environment variable
 EMGLEAM_DATA_DIR supplies the default dataset root.
 """
 
@@ -135,7 +136,7 @@ def _cmd_emanate(args) -> int:
     profile = get_profile(args.profile)
     raster = ScreenRaster.load(args.raster)
     timing = profile.timing()
-    leak_model = profile.leakage(coupling_gain=args.coupling, highpass_alpha=args.alpha)
+    leak_model = profile.leakage(highpass_alpha=args.alpha)
     snr = _parse_snr(args.snr, ("none", "off"))
     channel = ChannelModel(
         distance_r=args.distance,
@@ -360,7 +361,6 @@ def build_parser() -> _Parser:
     p.add_argument("--frames", type=int, default=1)
     p.add_argument("--snr", default="none", help="target SNR in dB, or 'none'")
     p.add_argument("--distance", type=float, default=1.0)
-    p.add_argument("--coupling", type=float, default=1.0)
     p.add_argument("--alpha", type=float, default=0.0, help="high-pass pole")
     p.add_argument("--center", type=float, default=None, help="center frequency Hz")
     p.add_argument("--sample-rate", type=float, default=None)
@@ -376,7 +376,6 @@ def build_parser() -> _Parser:
     p.add_argument("--height", type=int)
     p.add_argument("--frame-rate", type=float)
     p.add_argument("-o", "--output", required=True)
-    common(p)
     p.set_defaults(func=_cmd_reconstruct)
 
     p = sub.add_parser("snr", help="measure peak-over-median SNR of a recording")
@@ -385,7 +384,6 @@ def build_parser() -> _Parser:
     p.add_argument("--band", type=float, default=None)
     p.add_argument("--resolution", type=float, default=RESOLUTION_HZ)
     p.add_argument("-o", "--output")
-    common(p)
     p.set_defaults(func=_cmd_snr)
 
     p = sub.add_parser("session", help="simulate a full acquisition session")
@@ -411,7 +409,6 @@ def build_parser() -> _Parser:
     p.add_argument("--cols", type=int, required=True)
     p.add_argument("--cell", required=True, metavar="WxH")
     p.add_argument("-o", "--output", required=True, help="output directory")
-    common(p)
     p.set_defaults(func=_cmd_crop)
 
     p = sub.add_parser("split", help="build growing training sets over sessions")
@@ -450,7 +447,6 @@ def build_parser() -> _Parser:
     p.add_argument("--session", required=True, help="code session directory")
     p.add_argument("--csv", help="also write a per-item CSV")
     p.add_argument("-o", "--output", required=True, help="report JSON path")
-    common(p)
     p.set_defaults(func=_cmd_attack)
 
     p = sub.add_parser("testbed", help="run the acuity-chart testbed for an attacker model")

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .emanator import ChannelModel, LeakageModel, add_noise, clean_baseband, emanate
+from .emanator import ChannelModel, add_noise, clean_baseband, emanate
 from .errors import ValidationError
 from .pgmio import read_pgm, write_pgm
 from .profiles import PhoneProfile
@@ -53,7 +53,6 @@ class HardwareDim:
     bandwidth_hz: float
     target_snr_db: float | None
     distance_r: float = 1.0
-    coupling_gain: float = 1.0
     frames: int = 1
 
     def __post_init__(self):
@@ -61,17 +60,13 @@ class HardwareDim:
             raise ValidationError("hardware dimension: rates must be finite and positive")
         if self.frames < 1:
             raise ValidationError("hardware dimension: frames must be >= 1")
-        try:  # the channel and the leak check their own values
+        try:  # the channel checks its own values
             self._channel()
-            self._leakage()
         except ValidationError as exc:
             raise ValidationError(f"hardware dimension: {exc}") from None
 
     def _channel(self) -> ChannelModel:
         return ChannelModel(distance_r=self.distance_r, target_snr_db=self.target_snr_db)
-
-    def _leakage(self) -> LeakageModel:
-        return self.profile.leakage(coupling_gain=self.coupling_gain)
 
 
 def simulate_seeds(
@@ -89,7 +84,7 @@ def simulate_seeds(
     """
     profile = hardware.profile
     clean, sigma = clean_baseband(
-        emanate(raster, profile.timing(), hardware._leakage(), frames=hardware.frames),
+        emanate(raster, profile.timing(), profile.leakage(), frames=hardware.frames),
         hardware._channel(),
         sample_rate_hz=hardware.sample_rate_hz,
         bandwidth_hz=hardware.bandwidth_hz,
@@ -199,7 +194,7 @@ def _balanced_digits(total: int, rng: np.random.Generator) -> list[str]:
 
 def _profile_hardware(profile: PhoneProfile, frames: int, target_snr_db: float | None,
                       distance_r: float) -> HardwareDim:
-    """The profiling rig: the profile's own receiver rates at unit coupling."""
+    """The profiling rig: the profile's own receiver rates."""
     return HardwareDim(
         profile=profile,
         sample_rate_hz=profile.sample_rate_hz,

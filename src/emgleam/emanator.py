@@ -104,17 +104,14 @@ class DisplayTiming:
 
 @dataclass(frozen=True)
 class LeakageModel:
-    """Which pixel-clock harmonic carries the leak and how strongly it couples."""
+    """Which pixel-clock harmonic carries the leak, and its high-pass pole."""
 
     harmonic: int = 5
-    coupling_gain: float = 1.0
     highpass_alpha: float = 0.0
 
     def __post_init__(self):
         if self.harmonic < 1:
             raise ValidationError("harmonic must be a positive integer")
-        if not 0.0 <= self.coupling_gain < math.inf:
-            raise ValidationError(f"coupling_gain {self.coupling_gain} must be finite and non-negative")
         if not 0.0 <= self.highpass_alpha < 1.0:
             raise ValidationError("highpass_alpha must lie in [0, 1)")
 
@@ -231,7 +228,7 @@ def emanate(
         raise ValidationError("frames must be >= 1")
     wave = video_waveform(raster, timing)
     return LeakSignal(
-        samples=_periodic_highpass(wave, leak.highpass_alpha) * leak.coupling_gain,
+        samples=_periodic_highpass(wave, leak.highpass_alpha),
         timing=timing,
         carrier_hz=leak.carrier_hz(timing),
         frames=frames,

@@ -79,8 +79,8 @@ class PhoneProfile:
     def timing(self) -> DisplayTiming:
         return DisplayTiming(self.x_t, self.y_t, self.f_r, self.visible_w, self.visible_h)
 
-    def leakage(self, coupling_gain: float = 1.0, highpass_alpha: float = 0.0) -> LeakageModel:
-        return LeakageModel(self.harmonic, coupling_gain, highpass_alpha)
+    def leakage(self, highpass_alpha: float = 0.0) -> LeakageModel:
+        return LeakageModel(self.harmonic, highpass_alpha)
 
     def recon_params(self, **overrides) -> ReconParams:
         kw = dict(width_px=self.recon_w, height_px=self.recon_h, f_r_hz=self.f_r)

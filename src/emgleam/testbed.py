@@ -35,6 +35,15 @@ INPUT_SIDE = 32
 #: widened variant of the digit CNN used for the letter task
 LETTER_CONV_CHANNELS = (12, 32)
 LETTER_FC_SIZES = (240, 120)
+#: the keys each attacker-model section accepts; any other is refused
+SPEC_KEYS = {
+    "message": ("letters", "priors"),
+    "message_appearance": ("scales", "contrast", "background"),
+    "attack_hardware": ("profile", "visible_w", "visible_h", "f_r", "sample_rate_hz",
+                        "bandwidth_hz", "target_snr_db", "distance_r", "frames"),
+    "device_profiling": ("train_items_per_class_per_scale", "test_items_per_class_per_scale"),
+    "computational_resources": ("epochs", "batch_size", "learning_rate"),
+}
 
 
 @dataclass(frozen=True)
@@ -75,20 +84,15 @@ class AppearanceDim:
 class ProfilingDim:
     train_items: tuple[int, ...]  # items per class per scale, one per session
     test_items: tuple[int, ...]
-    growth: tuple[int, ...] = ()  # session counts per training stage; () = auto
 
     def __post_init__(self):
         if not self.train_items or not self.test_items:
             raise ValidationError("profiling dimension: need train and test sessions")
         if min(self.train_items) < 1 or min(self.test_items) < 1:
             raise ValidationError("profiling dimension: items per class per scale must be >= 1")
-        for g in self.growth:
-            if not 1 <= g <= len(self.train_items):
-                raise ValidationError(f"profiling dimension: growth stage {g} out of range")
 
     def stages(self) -> tuple[int, ...]:
-        if self.growth:
-            return self.growth
+        """Training-session counts per stage: every second one, then all."""
         n = len(self.train_items)
         if n < 2:
             return (n,)
@@ -158,18 +162,24 @@ def _value(section, key: str, convert, default: str | None = None):
 def parse_spec_file(path) -> AttackerModelSpec:
     """Read the five-section attacker-model document.
 
-    Every section must be present and non-empty; a run without a complete
-    specification is rejected.
+    Every section of SPEC_KEYS must be present and non-empty, and every key
+    must be one its section accepts; an incomplete, misspelled or malformed
+    specification is rejected rather than run with defaults.
     """
-    cp = configparser.ConfigParser()
-    read = cp.read(path)
+    cp = configparser.ConfigParser(interpolation=None)
+    try:
+        read = cp.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ValidationError(f"attacker model file {path} is malformed: {exc}") from None
     if not read:
         raise ValidationError(f"cannot read attacker model file {path}")
-    required = ["message", "message_appearance", "attack_hardware",
-                "device_profiling", "computational_resources"]
-    for section in required:
+    for section in SPEC_KEYS:
         if section not in cp or not dict(cp[section]):
             raise ValidationError(f"attacker model is incomplete: section [{section}] missing or empty")
+    for section in cp.sections():
+        unknown = [key for key in cp[section] if key not in SPEC_KEYS.get(section, ())]
+        if unknown:
+            raise ValidationError(f"attacker model: [{section}] has unknown key {unknown[0]!r}")
 
     msg = cp["message"]
     message = MessageDim(
@@ -203,7 +213,6 @@ def parse_spec_file(path) -> AttackerModelSpec:
         bandwidth_hz=_value(hw, "bandwidth_hz", float, str(profile.bandwidth_hz)),
         target_snr_db=None if snr_text in ("", "none", "off") else _value(hw, "target_snr_db", float),
         distance_r=_value(hw, "distance_r", float, "1.0"),
-        coupling_gain=_value(hw, "coupling_gain", float, "1.0"),
         frames=_value(hw, "frames", int, "1"),
     )
 
@@ -211,7 +220,6 @@ def parse_spec_file(path) -> AttackerModelSpec:
     profiling = ProfilingDim(
         train_items=_value(prof, "train_items_per_class_per_scale", _each(int), ""),
         test_items=_value(prof, "test_items_per_class_per_scale", _each(int), ""),
-        growth=_value(prof, "growth", _each(int), ""),
     )
 
     res = cp["computational_resources"]
@@ -397,7 +405,6 @@ def run_testbed(spec: AttackerModelSpec, seed: int = 0) -> TestbedReport:
             "profile": spec.hardware.profile.name,
             "sample_rate_hz": spec.hardware.sample_rate_hz,
             "target_snr_db": spec.hardware.target_snr_db,
-            "coupling_gain": spec.hardware.coupling_gain,
             "distance_r": spec.hardware.distance_r,
             "epochs": spec.resources.epochs,
         },

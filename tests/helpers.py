@@ -50,7 +50,7 @@ def edge_reference(raster, timing: DisplayTiming, leak: LeakageModel, grid_w: in
     touches the capture/reconstruction path.
     """
     wave = video_waveform(raster, timing)
-    mag = np.abs(_periodic_highpass(wave, leak.highpass_alpha) * leak.coupling_gain)
+    mag = np.abs(_periodic_highpass(wave, leak.highpass_alpha))
     n_p = len(mag)
     pos = np.arange(grid_w * grid_h, dtype=np.float64) * (n_p / (grid_w * grid_h))
     base = np.floor(pos).astype(np.int64)

@@ -17,6 +17,18 @@ class TestBasics:
         assert run(["render", "--no-such-flag"]) == 1
         assert run(["no-such-command"]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["emanate", "m.pgm", "--profile", "galaxy_a3", "--coupling", 1, "-o", "m.iq"],
+        ["reconstruct", "m.iq", "--seed", 1, "-o", "e.pgm"],
+        ["snr", "m.iq", "--seed", 1],
+        ["crop", "e.pgm", "--rows", 1, "--cols", 1, "--cell", "1x1", "--seed", 1, "-o", "c"],
+        ["attack", "--model", "m.bin", "--session", "s", "--seed", 1, "-o", "r.json"],
+    ], ids=["emanate-coupling", "reconstruct-seed", "snr-seed", "crop-seed", "attack-seed"])
+    def test_flags_that_change_no_output_are_usage_errors(self, capsys, argv):
+        # a coupling gain cancels against the SNR-calibrated noise; these four draw no random numbers
+        assert run(argv) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_threads_only_on_session(self, tmp_path, capsys):
         # session is the one stage that simulates screens in parallel
         assert run(["render", "--message", "123456", "--threads", "2", "-o", tmp_path / "m.pgm"]) == 1
@@ -46,7 +58,7 @@ class TestBasics:
         (["--sample-rate", "nan"], "must be finite and positive"),
         (["--sample-rate", "inf"], "must be finite and positive"),
         (["--bandwidth", "nan"], "must be finite and positive"),
-        (["--coupling", "inf"], "coupling_gain inf must be finite and non-negative"),
+        (["--alpha", 1], "highpass_alpha must lie in [0, 1)"),
         (["--distance", "inf"], "distance_r inf must be finite and positive"),
         # 0 is a value, not "use the profile's rate"
         (["--sample-rate", 0], "must be finite and positive"),
@@ -507,10 +519,6 @@ class TestTestbedCommand:
     @pytest.mark.parametrize("old, new, message", [
         ("target_snr_db = 30", "target_snr_db = 30\ndistance_r = 0", "distance_r 0.0 must be finite and positive"),
         ("target_snr_db = 30", "target_snr_db = 30\ndistance_r = nan", "distance_r nan must be finite and positive"),
-        ("target_snr_db = 30", "target_snr_db = 30\ncoupling_gain = -1",
-         "coupling_gain -1.0 must be finite and non-negative"),
-        ("target_snr_db = 30", "target_snr_db = 30\ncoupling_gain = inf",
-         "coupling_gain inf must be finite and non-negative"),
         ("sample_rate_hz = 5e6", "sample_rate_hz = nan", "rates must be finite and positive"),
         ("bandwidth_hz = 2.5e6", "bandwidth_hz = nan", "rates must be finite and positive"),
         ("batch_size = 16", "batch_size = 0", "resources dimension: epochs and batch_size must be >= 1"),
@@ -532,6 +540,8 @@ class TestTestbedCommand:
     @pytest.mark.parametrize("old, new, message", [
         ("scales = 20\n", "scales = 20\ncontrast = abc\n",
          "[message_appearance] contrast = 'abc' is malformed"),
+        # a % is a character, not the start of a configparser interpolation
+        ("scales = 20\n", "scales = 20\ncontrast = 1%\n", "[message_appearance] contrast = '1%' is malformed"),
         ("visible_w = 128\n", "", "[attack_hardware] needs visible_w"),
         ("visible_h = 192", "visible_h = tall", "[attack_hardware] visible_h = 'tall' is malformed"),
         ("test_items_per_class_per_scale = 2", "test_items_per_class_per_scale = 2,x",
@@ -543,6 +553,37 @@ class TestTestbedCommand:
         spec.write_text(TESTBED_SPEC.replace(old, new))
         assert run(["testbed", "--spec", spec, "-o", tmp_path / "r"]) == 2
         assert f"error: attacker model: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("target_snr_db = 30", "target_snr = 30", "[attack_hardware] has unknown key 'target_snr'"),
+        ("epochs = 10", "epoch = 10", "[computational_resources] has unknown key 'epoch'"),
+        ("target_snr_db = 30", "target_snr_db = 30\ncoupling_gain = 1",
+         "[attack_hardware] has unknown key 'coupling_gain'"),
+        ("test_items_per_class_per_scale = 2", "test_items_per_class_per_scale = 2\ngrowth = 1",
+         "[device_profiling] has unknown key 'growth'"),
+        ("[computational_resources]", "[notes]\nauthor = me\n\n[computational_resources]",
+         "[notes] has unknown key 'author'"),
+    ], ids=["target_snr", "epoch", "coupling_gain", "growth", "unknown-section"])
+    def test_unknown_spec_key_names_section_and_key(self, tmp_path, capsys, old, new, message):
+        # a misspelled or deleted key must not run the experiment with a default in its place
+        spec = tmp_path / "bad.ini"
+        spec.write_text(TESTBED_SPEC.replace(old, new))
+        assert run(["testbed", "--spec", spec, "-o", tmp_path / "r"]) == 2
+        assert f"error: attacker model: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("data", [
+        TESTBED_SPEC.replace("epochs = 10", "epochs = 10\nepochs = 20").encode(),
+        ("letters = C\n" + TESTBED_SPEC).encode(),
+        TESTBED_SPEC.replace("epochs = 10", "epochs = 10\njust words").encode(),
+        TESTBED_SPEC.replace("letters = C,T", "letters = C,\xff").encode("latin-1"),
+    ], ids=["duplicate-key", "no-section-header", "line-without-equals", "not-utf-8"])
+    def test_malformed_spec_file_names_the_file(self, tmp_path, capsys, data):
+        spec = tmp_path / "bad.ini"
+        spec.write_bytes(data)
+        assert run(["testbed", "--spec", spec, "-o", tmp_path / "r"]) == 2
+        assert f"error: attacker model file {spec} is malformed" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
     def test_incomplete_spec_rejected(self, tmp_path):

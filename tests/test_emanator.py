@@ -86,12 +86,6 @@ class TestEmanate:
         nz_cols = np.nonzero(frame[0])[0]
         assert list(nz_cols) == [30, 34]
 
-    def test_coupling_gain_is_linear(self):
-        raster = random_grid_raster(2)
-        one = emanate(raster, LAB_TIMING, LeakageModel(coupling_gain=1.0))
-        two = emanate(raster, LAB_TIMING, LeakageModel(coupling_gain=2.0))
-        assert np.array_equal(two.samples, 2.0 * one.samples)
-
     def test_carrier_tag(self):
         leak = emanate(random_grid_raster(0), LAB_TIMING, LeakageModel(harmonic=5))
         assert leak.carrier_hz == 5 * LAB_TIMING.pixel_clock_hz
@@ -152,11 +146,10 @@ class TestCapture:
         assert far_snr == pytest.approx(30.0 - 50 * np.log10(2.0), abs=0.5)  # 14.97 dB
 
     def test_linearity_in_leak(self):
-        raster = random_grid_raster(5)
-        one = capture(emanate(raster, LAB_TIMING, LeakageModel(coupling_gain=1.0)),
-                      ChannelModel(), LAB_FS, bandwidth_hz=LAB_BW)
-        two = capture(emanate(raster, LAB_TIMING, LeakageModel(coupling_gain=2.0)),
-                      ChannelModel(), LAB_FS, bandwidth_hz=LAB_BW)
+        leak = emanate(random_grid_raster(5), LAB_TIMING, LAB_LEAK)
+        one = capture(leak, ChannelModel(), LAB_FS, bandwidth_hz=LAB_BW)
+        two = capture(replace(leak, samples=2.0 * leak.samples), ChannelModel(), LAB_FS,
+                      bandwidth_hz=LAB_BW)
         assert np.allclose(two.samples, 2.0 * one.samples, atol=1e-6)
 
     def test_tuning_error(self):
@@ -286,6 +279,13 @@ class TestCleanNoiseSplit:
         assert noiseless.samples.dtype == np.complex64
         assert np.array_equal(noiseless.samples, clean.samples.astype(np.complex64))
 
+    def test_zero_leak_falls_back_to_unit_sigma(self):
+        # an all-black screen radiates nothing: no SNR is defined, so sigma is 1
+        leak = emanate(blank_screen(LAB_W, LAB_H, 0.0), LAB_TIMING, LAB_LEAK)
+        assert not leak.samples.any()
+        clean, sigma = clean_baseband(leak, ChannelModel(target_snr_db=20.0), LAB_FS, bandwidth_hz=LAB_BW)
+        assert sigma == 1.0
+        assert not clean.samples.any()
 
     def test_blockwise_noise_equals_one_draw(self):
         # a length that is not a multiple of the draw block

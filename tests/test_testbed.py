@@ -53,13 +53,13 @@ learning_rate = 0.001
 """
 
 
-def tiny_spec(letters="CT", scales=(10.0,), snr=25.0, coupling=1.0,
+def tiny_spec(letters="CT", scales=(10.0,), snr=25.0,
               train_items=(3,), test_items=(3,), epochs=4, batch_size=32):
     return AttackerModelSpec(
         message=MessageDim(letters=letters),
         appearance=AppearanceDim(scales=scales),
         hardware=HardwareDim(profile=PANEL, sample_rate_hz=5e6, bandwidth_hz=2.5e6,
-                             target_snr_db=snr, coupling_gain=coupling),
+                             target_snr_db=snr),
         profiling=ProfilingDim(train_items=train_items, test_items=test_items),
         resources=ResourcesDim(epochs=epochs, batch_size=batch_size),
     )
@@ -208,10 +208,10 @@ class TestSharedSynthesis:
     """The testbed synthesises each letter/scale raster once for all its
     items; its stimuli must equal one ``simulate`` per item."""
 
-    @pytest.mark.parametrize("snr, coupling", [(20.0, 1.0), (None, 1.0), (25.0, 0.0)])
-    def test_collected_stimuli_match_a_simulate_loop(self, monkeypatch, snr, coupling):
-        # coupling 0 leaves no signal, so the noise sigma falls back to 1
-        spec = tiny_spec(letters="CTZ", scales=(5.0, 20.0), snr=snr, coupling=coupling,
+    @pytest.mark.parametrize("snr", [20.0, None, 0.0])
+    def test_collected_stimuli_match_a_simulate_loop(self, monkeypatch, snr):
+        # no noise level reaches a 0 dB target, so the noise sigma saturates at its cap
+        spec = tiny_spec(letters="CTZ", scales=(5.0, 20.0), snr=snr,
                          train_items=(2, 1), test_items=(3,), epochs=1)
         collected = []
 
