@@ -53,7 +53,6 @@ from .errors import (
     EmgleamError,
     NoSyncError,
     StageError,
-    TuningError,
     ValidationError,
 )
 from .profiles import PROFILES, PhoneProfile, get_profile

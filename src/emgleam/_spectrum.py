@@ -101,14 +101,13 @@ def median_bias(n_segments: int) -> float:
     return x / k
 
 
-def band_slice(freqs: np.ndarray, center_hz: float, band_hz: float):
-    """Indices of bins within band_hz around center_hz, clipped to Nyquist.
+def band_slice(freqs: np.ndarray, band_hz: float):
+    """Indices of bins within band_hz around 0 Hz, clipped to Nyquist.
 
     Returns (mask, clipped) where clipped says the requested interval ran
     past the available frequency range.
     """
-    lo = center_hz - band_hz / 2.0
-    hi = center_hz + band_hz / 2.0
+    lo, hi = -band_hz / 2.0, band_hz / 2.0
     clipped = bool(lo < freqs[0] or hi > freqs[-1])
     mask = (freqs >= max(lo, freqs[0])) & (freqs <= min(hi, freqs[-1]))
     return mask, clipped

@@ -109,9 +109,17 @@ def _cmd_render(args) -> int:
     modes = [bool(args.digit_grid), args.message is not None, args.eyechart is not None]
     if sum(modes) != 1:
         raise ValidationError("pick exactly one of --digit-grid, --message, --eyechart")
+    draws = bool(args.digit_grid) and args.digits == "random"
+    if args.seed is not None and not draws:
+        raise ValidationError("--seed draws the digits of --digit-grid with --digits random, "
+                              "the one render mode that draws random numbers")
+    if draws:
+        args.seed = _given(args.seed, 0)
+    else:
+        del args.seed  # nothing is drawn: the config echo records no seed
     if args.digit_grid:
         rows, cols = _parse_wh(args.digit_grid)  # ROWSxCOLS
-        if args.digits == "random":
+        if draws:
             rng = np.random.default_rng(derive_seed(args.seed, "render-digits"))
             digits = [str(d) for d in rng.integers(0, 10, rows * cols)]
         else:
@@ -147,7 +155,6 @@ def _cmd_emanate(args) -> int:
         emanate(raster, timing, leak_model, frames=args.frames),
         channel,
         sample_rate_hz=_given(args.sample_rate, profile.sample_rate_hz),
-        center_freq_hz=args.center,
         bandwidth_hz=_given(args.bandwidth, profile.bandwidth_hz),
     )
     recording.save(args.output)
@@ -182,12 +189,7 @@ def _cmd_reconstruct(args) -> int:
 
 def _cmd_snr(args) -> int:
     recording = IqRecording.load(args.recording)
-    value = measure_snr(
-        recording,
-        signal_center_hz=args.center,
-        band_hz=args.band,
-        resolution_hz=args.resolution,
-    )
+    value = measure_snr(recording, band_hz=args.band, resolution_hz=args.resolution)
     output = args.output or (str(args.recording) + ".snr.json")
     dump_json(output, {"snr_db": value})
     _echo_config(output, "snr", args)
@@ -352,7 +354,7 @@ def build_parser() -> _Parser:
     p.add_argument("--screen", default="750x1334", metavar="WxH")
     p.add_argument("--contrast", type=float, default=1.0)
     p.add_argument("-o", "--output", required=True)
-    common(p)
+    p.add_argument("--seed", type=int, help="seed of --digits random (default 0)")
     p.set_defaults(func=_cmd_render)
 
     p = sub.add_parser("emanate", help="simulate emission and SDR capture of a raster")
@@ -362,7 +364,6 @@ def build_parser() -> _Parser:
     p.add_argument("--snr", default="none", help="target SNR in dB, or 'none'")
     p.add_argument("--distance", type=float, default=1.0)
     p.add_argument("--alpha", type=float, default=0.0, help="high-pass pole")
-    p.add_argument("--center", type=float, default=None, help="center frequency Hz")
     p.add_argument("--sample-rate", type=float, default=None)
     p.add_argument("--bandwidth", type=float, default=None)
     p.add_argument("-o", "--output", required=True)
@@ -380,7 +381,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("snr", help="measure peak-over-median SNR of a recording")
     p.add_argument("recording")
-    p.add_argument("--center", type=float, default=None)
     p.add_argument("--band", type=float, default=None)
     p.add_argument("--resolution", type=float, default=RESOLUTION_HZ)
     p.add_argument("-o", "--output")

@@ -4,7 +4,7 @@ A raster plus display timing defines a pixel-clock video waveform (visible
 luminance plus zero-luminance blanking).  The cable radiates at signal
 transitions, modeled as a one-pole high-pass of the pixel stream, amplitude
 modulated onto a carrier at an harmonic of the pixel clock.  ``capture``
-then produces what a software-defined radio tuned near that carrier would
+then produces what a software-defined radio tuned to that carrier would
 record: the modulation spectrum band-limited to the capture bandwidth,
 sampled at the ADC rate, attenuated with near-field distance as
 amplitude ~ r^-2.5 (power density ~ r^-5), plus complex white noise
@@ -30,13 +30,11 @@ capture length.  fs/f_r is such a fraction for every built-in rate
 fraction with P <= ~2^22 (59.94 Hz at 25 MS/s becomes 59.94000005994 Hz),
 and the recording's timing carries the rate actually synthesised.
 
-Tuned to the carrier (the default, used by sessions and the testbed), the
-band is symmetric about it and harmonic -q is the conjugate of q, so the
-baseband is real: one real inverse FFT of the half spectrum synthesises it
-at about half the cost, the clean baseband is float64, its noise
-calibration runs a real Welch and ``add_noise`` adds it to I.  A capture
-tuned off the carrier (``emanate --center``) takes the complex transform.
-An inverse pruned to the nonzero input bins gains nothing: with
+The receiver is tuned to the carrier, so the band is symmetric about it
+and harmonic -q is the conjugate of q: the baseband is real.  One real
+inverse FFT of the half spectrum synthesises it, the clean baseband is
+float64, its noise calibration runs a real Welch and ``add_noise`` adds
+it to I.  An inverse pruned to the nonzero input bins gains nothing: with
 P = 1,250,000 = 2^4 * 5^8 and Q = 3 the kept bins align with no FFT stage.
 """
 
@@ -48,10 +46,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-from numpy.fft import ifft, irfft, rfft
+from numpy.fft import irfft, rfft
 
 from ._spectrum import calibrate_noise_sigma
-from .errors import TuningError, ValidationError
+from .errors import ValidationError
 from .raster import ScreenRaster
 from .util import dump_json, read_record
 
@@ -155,7 +153,7 @@ class IqRecording:
     """Complex baseband capture with its acquisition metadata."""
 
     sample_rate_hz: float
-    center_freq_hz: float
+    center_freq_hz: float  # the carrier the capture is tuned to
     samples: np.ndarray  # complex64
     timing: DisplayTiming
     seed: int = 0
@@ -300,94 +298,68 @@ def _frame_spectrum(frame: np.ndarray, k_max: int) -> np.ndarray:
 def _component_baseband(
     frame: np.ndarray,
     f_r: float,
-    f_offset_hz: float,
     sample_rate_hz: float,
     half_band_hz: float,
     n_out: int,
 ) -> np.ndarray:
-    """Band-limited complex baseband of one periodic frame at the ADC rate.
+    """Band-limited real baseband of one periodic frame at the ADC rate,
+    tuned to its carrier.
 
     The frame's spectrum lives on multiples of the refresh rate.  With
     fs/f_r snapped to P/Q (``_period``; exact for any small-denominator
     ratio), ADC sample k sees harmonic q at phase 2*pi*q*Q*k/P, so the kept
-    harmonics, those whose post-shift frequency falls inside the capture
-    band, go to bins q*Q mod P of one P-point inverse FFT.  Its output is
-    exactly Q frames of band-limited samples; they are tiled to n_out and
-    rotated by the carrier-to-center offset.  When the band spans the full
-    sample rate, harmonics fs apart alias onto one bin and are summed.
-    Only harmonics up to the band edge are transformed (``_frame_spectrum``);
-    a phone band keeps about a sixth of the frame's bins.  Tuned to the
-    carrier (f_offset_hz 0) the band is symmetric, the bins Hermitian and
-    the baseband real: it is synthesised by one P-point irfft and returned
-    as float64, otherwise as complex128.
+    harmonics, those inside the capture band, go to bins q*Q mod P of one
+    P-point inverse FFT.  Its output is exactly Q frames of band-limited
+    samples; they are tiled to n_out.  The band is symmetric, so harmonic
+    -q is kept with q, as its conjugate: the bins are Hermitian and one
+    P-point irfft of the half spectrum gives the float64 baseband.  No kept
+    harmonic passes fs/2, so q sits at bin q*Q <= P/2 and -q at its mirror;
+    only when the band spans the full sample rate do the two meet, on bin
+    P/2, as 2*Re.  Only harmonics up to the band edge are transformed
+    (``_frame_spectrum``); a phone band keeps about a sixth of the frame's
+    bins.
     """
     period = _period(sample_rate_hz, f_r)
     p, q_frames = period.numerator, period.denominator
     f_r = float(Fraction(sample_rate_hz) / period)  # the rate synthesised
     # no harmonic past k_max reaches the band; the shared Nyquist bin is dropped
-    k_max = min(math.ceil((half_band_hz + abs(f_offset_hz)) / f_r) + 1, (len(frame) - 1) // 2)
+    k_max = min(math.ceil(half_band_hz / f_r) + 1, (len(frame) - 1) // 2)
     spec = _frame_spectrum(frame, k_max)
     q = np.arange(k_max + 1)
-    pos = q[np.abs(q * f_r + f_offset_hz) <= half_band_hz]
-    if not f_offset_hz:
-        # -q is kept with q, as its conjugate: the bins are Hermitian, so one
-        # half spectrum and irfft.  No kept harmonic passes fs/2, so q sits
-        # at bin q*Q <= P/2 and -q at its mirror; only at fs/2 do the two
-        # meet, on bin P/2, as 2*Re
-        j = pos * q_frames
-        half = np.zeros(p // 2 + 1, dtype=np.complex128)
-        half[j] = spec[pos] / len(frame)
-        if 2 * j[-1] == p:
-            half[-1] = 2.0 * half[-1].real
-        out = irfft(half, p, norm="forward")
-        return out if n_out == p else np.resize(out, n_out)
-    neg = q[1:][np.abs(f_offset_hz - q[1:] * f_r) <= half_band_hz]
-    if not (len(pos) or len(neg)):
-        return np.zeros(n_out, dtype=np.complex128)
-    harmonic = np.concatenate([pos, -neg])
-    coef = np.concatenate([spec[pos], np.conj(spec[neg])]) / len(frame)
-
-    bins = np.zeros(p, dtype=np.complex128)
-    np.add.at(bins, harmonic * q_frames % p, coef)
-    out = np.resize(ifft(bins, norm="forward"), n_out)
-    t = np.arange(n_out, dtype=np.float64) / sample_rate_hz
-    out *= np.exp(2j * np.pi * f_offset_hz * t)
-    return out
+    pos = q[q * f_r <= half_band_hz]
+    j = pos * q_frames
+    half = np.zeros(p // 2 + 1, dtype=np.complex128)
+    half[j] = spec[pos] / len(frame)
+    if 2 * j[-1] == p:
+        half[-1] = 2.0 * half[-1].real
+    out = irfft(half, p, norm="forward")
+    return out if n_out == p else np.resize(out, n_out)
 
 
 def clean_baseband(
     leak: LeakSignal,
     channel: ChannelModel,
     sample_rate_hz: float = 25e6,
-    center_freq_hz: float | None = None,
     bandwidth_hz: float = 12.5e6,
 ) -> tuple[IqRecording, float | None]:
     """The deterministic part of ``capture``.
 
-    Returns the noise-free recording (the distance-scaled leak, its seed
-    channel.rng_seed; float64 samples when tuned to the carrier, whose
-    baseband is real, else complex128) and the noise sigma calibrated
-    against the leak at r = 1 for channel.target_snr_db (None without a
-    target), so distance lowers the SNR.  The recording's timing carries
-    the refresh rate actually synthesised, fs*Q/P (see
-    ``_component_baseband``): the leak's own rate whenever fs/f_r is exact.
+    Returns the noise-free recording tuned to the leak's carrier (the
+    distance-scaled leak as the float64 real baseband, its seed
+    channel.rng_seed) and the noise sigma calibrated against the leak at
+    r = 1 for channel.target_snr_db (None without a target), so distance
+    lowers the SNR.  The recording's timing carries the refresh rate
+    actually synthesised, fs*Q/P (see ``_component_baseband``): the leak's
+    own rate whenever fs/f_r is exact.
     """
     if not (0 < sample_rate_hz < math.inf and 0 < bandwidth_hz < math.inf):
         raise ValidationError(
             f"sample rate {sample_rate_hz} and bandwidth {bandwidth_hz} must be finite and positive"
         )
-    if center_freq_hz is None:
-        center_freq_hz = leak.carrier_hz
-    f_off = leak.carrier_hz - center_freq_hz
-    if abs(f_off) >= sample_rate_hz / 2:
-        raise TuningError(
-            f"carrier {leak.carrier_hz:.6g} Hz is outside the capture span around "
-            f"{center_freq_hz:.6g} Hz at {sample_rate_hz:.6g} S/s"
-        )
     half_band = min(bandwidth_hz, sample_rate_hz) / 2.0
     period = _period(sample_rate_hz, leak.timing.f_r)
     samples = _component_baseband(
-        leak.samples, leak.timing.f_r, f_off, sample_rate_hz, half_band,
+        leak.samples, leak.timing.f_r, sample_rate_hz, half_band,
         round(leak.frames * period),
     )
     sigma = (None if channel.target_snr_db is None
@@ -395,7 +367,7 @@ def clean_baseband(
     samples *= channel.amplitude_scale
     clean = IqRecording(
         sample_rate_hz=sample_rate_hz,
-        center_freq_hz=center_freq_hz,
+        center_freq_hz=leak.carrier_hz,
         samples=samples,
         timing=replace(leak.timing, f_r=float(Fraction(sample_rate_hz) / period)),
         seed=channel.rng_seed,
@@ -404,32 +376,33 @@ def clean_baseband(
 
 
 def add_noise(clean: IqRecording, sigma: float | None) -> IqRecording:
-    """``clean`` plus complex white noise of total std sigma drawn from
-    np.random.default_rng(clean.seed), as complex64; sigma None adds nothing.
+    """``clean``, a real baseband from ``clean_baseband``, plus complex white
+    noise of total std sigma drawn from np.random.default_rng(clean.seed),
+    as complex64; sigma None adds nothing.  A complex recording (a loaded
+    capture, say) is a ValidationError.
 
     Sample k gets the normals 2k and 2k+1 of that generator as its I and Q
     noise.  They are drawn _NOISE_BLOCK samples at a time into one reused
     buffer, which yields the same stream as one draw of the whole length,
-    and each block is scaled, added to the clean samples (to I alone when
-    they are real) and rounded to complex64 in place.
+    and each block is scaled, added to the clean samples on I and rounded
+    to complex64 in place.
     """
+    if np.iscomplexobj(clean.samples):
+        raise ValidationError("add_noise takes the real baseband of clean_baseband, not complex samples")
     if sigma is None:
         return replace(clean, samples=clean.samples.astype(np.complex64))
-    if np.iscomplexobj(clean.samples):
-        iq = np.ascontiguousarray(clean.samples, dtype=np.complex128).view(np.float64).reshape(-1, 2)
-    else:  # a real baseband: I alone
-        iq = np.asarray(clean.samples, dtype=np.float64)[:, None]
-    out = np.empty(len(iq), dtype=np.complex64)
+    real = np.asarray(clean.samples, dtype=np.float64)
+    out = np.empty(len(real), dtype=np.complex64)
     out_iq = out.view(np.float32).reshape(-1, 2)
     rng = np.random.default_rng(clean.seed)
-    buf = np.empty((min(_NOISE_BLOCK, len(iq)), 2))
+    buf = np.empty((min(_NOISE_BLOCK, len(real)), 2))
     scale = sigma / np.sqrt(2.0)
-    for start in range(0, len(iq), _NOISE_BLOCK):
-        stop = min(start + _NOISE_BLOCK, len(iq))
+    for start in range(0, len(real), _NOISE_BLOCK):
+        stop = min(start + _NOISE_BLOCK, len(real))
         gauss = buf[: stop - start]
         rng.standard_normal(out=gauss)
         gauss *= scale
-        gauss[:, : iq.shape[1]] += iq[start:stop]
+        gauss[:, 0] += real[start:stop]
         out_iq[start:stop] = gauss
     return replace(clean, samples=out)
 
@@ -438,9 +411,8 @@ def capture(
     leak: LeakSignal,
     channel: ChannelModel,
     sample_rate_hz: float = 25e6,
-    center_freq_hz: float | None = None,
     bandwidth_hz: float = 12.5e6,
 ) -> IqRecording:
     """Simulated SDR acquisition of a leak signal: ``clean_baseband`` then
     ``add_noise``, deterministic given channel.rng_seed (the noise seed)."""
-    return add_noise(*clean_baseband(leak, channel, sample_rate_hz, center_freq_hz, bandwidth_hz))
+    return add_noise(*clean_baseband(leak, channel, sample_rate_hz, bandwidth_hz))

@@ -13,10 +13,6 @@ class ValidationError(EmgleamError, ValueError):
     """Bad input data or parameters (dimension mismatch, unknown symbol, ...)."""
 
 
-class TuningError(ValidationError):
-    """Requested capture center frequency cannot see the leak carrier."""
-
-
 class NoSyncError(EmgleamError):
     """Frame-rate search found no periodic structure above the noise floor."""
 

@@ -314,36 +314,26 @@ def reconstruct(recording: IqRecording, params: ReconParams) -> Emage:
 
 def measure_snr(
     recording: IqRecording,
-    signal_center_hz: float | None = None,
     band_hz: float | None = None,
     resolution_hz: float = RESOLUTION_HZ,
 ) -> float:
     """Peak-over-median periodogram SNR in dB.
 
-    The analysis band defaults to 50 MHz capped at the sample rate,
-    centered on the signal (assumed at the capture center when not given).
+    The analysis band is centred on the capture centre, the carrier a
+    capture is tuned to; it defaults to 50 MHz capped at the sample rate.
     An explicitly requested band reaching past Nyquist is clipped with a
-    warning.
+    warning.  The resolution must lie strictly between 0 and the band.
     """
     explicit_band = band_hz is not None
     if band_hz is None:
         band_hz = min(50e6, recording.sample_rate_hz)
-    if not resolution_hz < band_hz:
-        raise ValidationError(f"resolution {resolution_hz} must be below band {band_hz}")
+    if not 0 < resolution_hz < band_hz:
+        raise ValidationError(f"resolution {resolution_hz} must lie between 0 and band {band_hz}")
     if len(recording.samples) == 0:
         raise ValidationError("empty recording")
 
-    offset = 0.0
-    if signal_center_hz is not None:
-        offset = signal_center_hz - recording.center_freq_hz
-
     freqs, psd, _ = welch_psd(recording.samples, recording.sample_rate_hz, resolution_hz)
-    mask, clipped = band_slice(freqs, offset, band_hz)
+    mask, clipped = band_slice(freqs, band_hz)
     if clipped and explicit_band:
-        warnings.warn(
-            f"analysis band {band_hz:.3g} Hz around {offset:.3g} Hz exceeds Nyquist; clipped",
-            stacklevel=2,
-        )
-    if not mask.any():
-        raise ValidationError("analysis band lies outside the captured spectrum")
+        warnings.warn(f"analysis band {band_hz:.3g} Hz exceeds Nyquist; clipped", stacklevel=2)
     return peak_over_median_db(psd[mask])

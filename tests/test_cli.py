@@ -1,4 +1,7 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +31,27 @@ class TestBasics:
         # a coupling gain cancels against the SNR-calibrated noise; these four draw no random numbers
         assert run(argv) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["emanate", "m.pgm", "--profile", "galaxy_a3", "--center", 1e9, "-o", "m.iq"],
+        ["snr", "m.iq", "--center", 0],
+    ], ids=["emanate", "snr"])
+    def test_center_is_usage_error(self, capsys, argv):
+        # a capture is tuned to the leak's carrier, and the meter centres on the capture
+        assert run(argv) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_readme_walkthrough_parses(self):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"## CLI walkthrough\n\n```sh\n(.*?)```", text, re.S).group(1)
+        lines = [line.strip() for line in block.replace("\\\n", " ").splitlines()]
+        commands = [shlex.split(line.replace("$i", "0"), comments=True)
+                    for line in lines if line.startswith("emgleam ")]
+        assert {argv[1] for argv in commands} == {"render", "emanate", "reconstruct", "snr", "session",
+                                                  "split", "train", "attack", "testbed", "gradcheck"}
+        parser = build_parser()
+        for argv in commands:
+            parser.parse_args(argv[1:])
 
     def test_threads_only_on_session(self, tmp_path, capsys):
         # session is the one stage that simulates screens in parallel
@@ -101,6 +125,29 @@ class TestRender:
         sidecar = json.loads((tmp_path / "g.pgm.json").read_text())
         assert [r["label"] for r in sidecar] == ["1", "2", "3", "4"]
 
+    @pytest.mark.parametrize("mode", [
+        ["--message", "123456"],
+        ["--eyechart", "C", "--scale", "20"],
+        ["--digit-grid", "2x2", "--digits", "1234"],
+    ], ids=["message", "eyechart", "explicit-digits"])
+    def test_seed_outside_random_digits_is_validation_error(self, tmp_path, capsys, mode):
+        out = tmp_path / "x.pgm"
+        assert run(["render", *mode, "--seed", 1, "-o", out]) == 2
+        assert "--digits random" in capsys.readouterr().err
+        assert not out.exists()
+        assert run(["render", *mode, "-o", out]) == 0
+        assert "seed" not in json.loads((tmp_path / "x.pgm.config.json").read_text())
+
+    def test_seed_draws_the_random_digits(self, tmp_path):
+        outs = [tmp_path / f"{seed}.pgm" for seed in (1, 2)]
+        for seed, out in zip((1, 2), outs):
+            assert run(["render", "--digit-grid", "3x3", "--seed", seed,
+                        "--screen", "96x96", "-o", out]) == 0
+            assert json.loads(Path(str(out) + ".config.json").read_text())["seed"] == seed
+        assert outs[0].read_bytes() != outs[1].read_bytes()
+        assert run(["render", "--digit-grid", "3x3", "--screen", "96x96", "-o", tmp_path / "0.pgm"]) == 0
+        assert json.loads((tmp_path / "0.pgm.config.json").read_text())["seed"] == 0
+
     def test_idempotent_bytes(self, tmp_path):
         a, b = tmp_path / "a.pgm", tmp_path / "b.pgm"
         for out in (a, b):
@@ -141,6 +188,13 @@ class TestPipeline:
         value = float(out.split("SNR:")[1].split("dB")[0])
         assert value == pytest.approx(25.9, abs=0.5)
         assert (pipeline / "m.iq.snr.json").exists()
+
+    @pytest.mark.parametrize("flag", ["--resolution=0", "--resolution=-5e3"])
+    def test_snr_resolution_must_be_positive(self, pipeline, capsys, flag):
+        out = pipeline / "bad.snr.json"
+        assert run(["snr", pipeline / "m.iq", flag, "-o", out]) == 2
+        assert "resolution" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_emanate_determinism(self, pipeline):
         d = pipeline

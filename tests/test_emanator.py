@@ -24,7 +24,7 @@ from emgleam.emanator import (
     emanate,
     video_waveform,
 )
-from emgleam.errors import TuningError, ValidationError
+from emgleam.errors import ValidationError
 from emgleam.profiles import PROFILES, get_profile
 from emgleam.raster import ScreenRaster, blank_screen
 from emgleam.receiver import measure_snr
@@ -151,12 +151,6 @@ class TestCapture:
         two = capture(replace(leak, samples=2.0 * leak.samples), ChannelModel(), LAB_FS,
                       bandwidth_hz=LAB_BW)
         assert np.allclose(two.samples, 2.0 * one.samples, atol=1e-6)
-
-    def test_tuning_error(self):
-        leak = emanate(random_grid_raster(0), LAB_TIMING, LAB_LEAK)
-        with pytest.raises(TuningError, match="outside"):
-            capture(leak, ChannelModel(), LAB_FS,
-                    center_freq_hz=leak.carrier_hz + LAB_FS, bandwidth_hz=LAB_BW)
 
     def test_determinism_bytes(self, tmp_path):
         leak = emanate(random_grid_raster(9), LAB_TIMING, LAB_LEAK)
@@ -290,8 +284,7 @@ class TestCleanNoiseSplit:
     def test_blockwise_noise_equals_one_draw(self):
         # a length that is not a multiple of the draw block
         n = 3 * _NOISE_BLOCK + 123
-        rng = np.random.default_rng(1)
-        samples = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        samples = np.random.default_rng(1).standard_normal(n)
         clean = IqRecording(25e6, 0.0, samples, LAB_TIMING, seed=42)
         sigma = 0.37
         gauss = np.random.default_rng(42).standard_normal((n, 2))
@@ -299,6 +292,13 @@ class TestCleanNoiseSplit:
         got = add_noise(clean, sigma).samples
         assert got.dtype == np.complex64
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("sigma", [None, 0.37])
+    def test_complex_clean_is_validation_error(self, sigma):
+        # a capture is tuned to its carrier: its clean baseband is real
+        clean = IqRecording(25e6, 0.0, np.ones(16, dtype=np.complex64), LAB_TIMING)
+        with pytest.raises(ValidationError, match="real baseband"):
+            add_noise(clean, sigma)
 
 
 def tiny_frame(seed, f_r=60.0):
@@ -308,16 +308,15 @@ def tiny_frame(seed, f_r=60.0):
     return emanate(raster, timing, LeakageModel())
 
 
-def harmonic_sum(frame, f_r, f_offset_hz, sample_rate_hz, half_band_hz, k):
+def harmonic_sum(frame, f_r, sample_rate_hz, half_band_hz, k):
     """Baseband at ADC samples k as a direct sum of the frame's kept
     harmonics at t_k = k / fs, the shared Nyquist harmonic left out."""
     n = len(frame)
     coef = np.fft.fft(frame) / n
     h = np.round(np.fft.fftfreq(n, 1.0 / n))
-    keep = (np.abs(h * f_r + f_offset_hz) <= half_band_hz) & (np.abs(h) < n / 2)
-    coef = coef[keep]
+    keep = (np.abs(h * f_r) <= half_band_hz) & (np.abs(h) < n / 2)
     t = np.asarray(k, dtype=np.float64) / sample_rate_hz
-    return np.exp(2j * np.pi * (np.outer(t, h[keep] * f_r) + (f_offset_hz * t)[:, None])) @ coef
+    return np.exp(2j * np.pi * np.outer(t, h[keep] * f_r)) @ coef[keep]
 
 
 def rel_err(got, want):
@@ -326,16 +325,17 @@ def rel_err(got, want):
 
 class TestExactSynthesis:
     def test_offset_carrier(self):
+        # a 10 kHz band around the carrier at 25 kS/s: 83 harmonics each side
         frame = tiny_frame(0).samples
-        args = (frame, 60.0, 1700.0, TINY_FS, 5000.0, 2000)
-        assert rel_err(_component_baseband(*args), harmonic_sum(*args[:5], np.arange(2000))) <= 1e-9
+        args = (frame, 60.0, TINY_FS, 5000.0, 2000)
+        assert rel_err(_component_baseband(*args), harmonic_sum(*args[:4], np.arange(2000))) <= 1e-9
 
     def test_band_spanning_the_sample_rate(self):
         # fs = 200 f_r and half band fs/2: harmonics +100 and -100 both lie
         # on the band edge and alias onto one ADC bin
         frame = tiny_frame(1).samples
-        args = (frame, 60.0, 0.0, 12e3, 6e3, 500)
-        assert rel_err(_component_baseband(*args), harmonic_sum(*args[:5], np.arange(500))) <= 1e-9
+        args = (frame, 60.0, 12e3, 6e3, 500)
+        assert rel_err(_component_baseband(*args), harmonic_sum(*args[:4], np.arange(500))) <= 1e-9
 
     def test_non_round_rate_is_snapped_and_recorded(self):
         leak = tiny_frame(2, f_r=59.94)
@@ -346,8 +346,8 @@ class TestExactSynthesis:
         assert rec.timing == DisplayTiming(20, 12, f_r, 16, 10)
         n_out = len(rec.samples)
         k = np.unique(np.linspace(0, n_out - 1, 400).astype(np.int64))
-        want = harmonic_sum(leak.samples, f_r, 0.0, 25e6, 6.25e6, k)
-        got = _component_baseband(leak.samples, 59.94, 0.0, 25e6, 6.25e6, n_out)
+        want = harmonic_sum(leak.samples, f_r, 25e6, 6.25e6, k)
+        got = _component_baseband(leak.samples, 59.94, 25e6, 6.25e6, n_out)
         assert rel_err(got[k], want) <= 1e-9
         assert rel_err(rec.samples[k], want) <= 1e-6  # complex64
 
@@ -384,14 +384,14 @@ class TestBandDft:
         lum = rng.random((timing.visible_h, timing.visible_w)).astype(np.float32)
         frame = emanate(ScreenRaster(timing.visible_w, timing.visible_h, lum, []), timing,
                         profile.leakage()).samples
-        args = (frame, 60.0, 3e5, 25e6, 6.25e6, 416667)
+        args = (frame, 60.0, 25e6, 6.25e6, 416667)
         k = np.array([0, 1, 77_777, 208_333, 416_666])
-        assert rel_err(_component_baseband(*args)[k], harmonic_sum(*args[:5], k)) <= 1e-9
+        assert rel_err(_component_baseband(*args)[k], harmonic_sum(*args[:4], k)) <= 1e-9
 
 
 def complex_baseband(frame, f_r, sample_rate_hz, half_band_hz, n_out):
-    """The off-carrier synthesis at f_offset_hz 0: every kept harmonic and
-    its conjugate placed by np.add.at into one P-point complex inverse FFT."""
+    """The same band by a complex inverse FFT: every kept harmonic and its
+    conjugate placed by np.add.at into one P-point complex transform."""
     period = _period(sample_rate_hz, f_r)
     p, q_frames = period.numerator, period.denominator
     f_r = float(Fraction(sample_rate_hz) / period)
@@ -423,32 +423,16 @@ class TestRealBaseband:
         # the receiver's band and the full sample rate; two frames, and the
         # one period whose length needs no tiling
         for half_band, n_out in [(bw / 2, round(2 * period)), (fs / 2, period.numerator)]:
-            got = _component_baseband(frame, timing.f_r, 0.0, fs, half_band, n_out)
+            got = _component_baseband(frame, timing.f_r, fs, half_band, n_out)
             assert got.dtype == np.float64 and got.shape == (n_out,)
             assert rel_err(got, complex_baseband(frame, timing.f_r, fs, half_band, n_out)) <= 1e-15
 
     def test_band_spanning_the_sample_rate_meets_at_nyquist(self):
         # fs = 200 f_r: harmonics +100 and -100 both land on bin P/2 = 100
         frame = tiny_frame(1).samples
-        got = _component_baseband(frame, 60.0, 0.0, 12e3, 6e3, 500)
+        got = _component_baseband(frame, 60.0, 12e3, 6e3, 500)
         assert got.dtype == np.float64
         assert rel_err(got, complex_baseband(frame, 60.0, 12e3, 6e3, 500)) <= 1e-15
-
-    def test_off_centre_capture_takes_the_complex_path(self):
-        leak = emanate(random_grid_raster(3), LAB_TIMING, LAB_LEAK)
-        on, _ = clean_baseband(leak, ChannelModel(), LAB_FS, bandwidth_hz=LAB_BW)
-        off, _ = clean_baseband(leak, ChannelModel(), LAB_FS, center_freq_hz=leak.carrier_hz - 1e3,
-                                bandwidth_hz=LAB_BW)
-        assert on.samples.dtype == np.float64
-        assert off.samples.dtype == np.complex128
-        assert np.abs(off.samples.imag).max() > 0.1 * np.abs(off.samples).max()
-
-    def test_real_clean_gets_noise_as_its_complex_cast(self):
-        leak = emanate(random_grid_raster(4), LAB_TIMING, LAB_LEAK, frames=2)
-        clean, sigma = clean_baseband(leak, ChannelModel(target_snr_db=10.0, rng_seed=5), LAB_FS,
-                                      bandwidth_hz=LAB_BW)
-        cast = replace(clean, samples=clean.samples.astype(np.complex128))
-        assert add_noise(clean, sigma).samples.tobytes() == add_noise(cast, sigma).samples.tobytes()
 
 
 class TestSnrCalibrationRange:
