@@ -24,6 +24,8 @@ import numpy as np
 from numpy.fft import fft, fftfreq, fftshift, rfft
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .errors import ValidationError
+
 _WELCH_BLOCK = 128  # segments per FFT call; a block's spectra stay in cache
 # Periodogram resolution of noise calibration, and the SNR meter's default
 RESOLUTION_HZ = 25e3
@@ -115,6 +117,8 @@ def band_slice(freqs: np.ndarray, band_hz: float):
 
 def peak_over_median_db(psd_band: np.ndarray) -> float:
     peak = float(np.max(psd_band))
+    if not math.isfinite(peak):  # a NaN or inf sample spreads over its segments' bins
+        raise ValidationError("non-finite spectrum: the recording holds non-finite samples")
     floor = float(np.median(psd_band))
     if floor <= 0.0:
         return 0.0 if peak <= 0.0 else float("inf")

@@ -276,6 +276,7 @@ def run_session(
         digits = plan[s * rows * cols : (s + 1) * rows * cols]
         grid = render_digit_grid(rows, cols, digits, cols * cell_w, rows * cell_h)
         screen = paste(blank_screen(profile.visible_w, profile.visible_h), grid, 0, 0)
+        del grid  # pasted: the screen holds its pixels
         return simulate(screen, hardware, derive_seed(seed, "screen", s)), digits
 
     labeled = (

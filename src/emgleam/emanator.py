@@ -207,8 +207,12 @@ def _periodic_highpass(frame: np.ndarray, alpha: float) -> np.ndarray:
     The frame repeats, so x[-1] is x[N-1] and y[-1] is y[N-1]: the filter
     acts circularly.  Its exact response divides each of the N frame
     harmonics of the first difference by the pole's 1 - alpha*e^{-jw}.
+    The circular difference is written into one new array, which alpha = 0
+    returns as it stands.
     """
-    diff = frame - np.roll(frame, 1)
+    diff = np.empty_like(frame)
+    np.subtract(frame[1:], frame[:-1], out=diff[1:])
+    diff[0] = frame[0] - frame[-1]
     if alpha == 0.0:
         return diff
     w = 2.0 * np.pi * np.arange(len(frame) // 2 + 1) / len(frame)
@@ -310,7 +314,8 @@ def _component_baseband(
     ratio), ADC sample k sees harmonic q at phase 2*pi*q*Q*k/P, so the kept
     harmonics, those inside the capture band, go to bins q*Q mod P of one
     P-point inverse FFT.  Its output is exactly Q frames of band-limited
-    samples; they are tiled to n_out.  The band is symmetric, so harmonic
+    samples; they are tiled to n_out in an array of exactly n_out samples,
+    with the spectrum released first.  The band is symmetric, so harmonic
     -q is kept with q, as its conjugate: the bins are Hermitian and one
     P-point irfft of the half spectrum gives the float64 baseband.  No kept
     harmonic passes fs/2, so q sits at bin q*Q <= P/2 and -q at its mirror;
@@ -333,7 +338,13 @@ def _component_baseband(
     if 2 * j[-1] == p:
         half[-1] = 2.0 * half[-1].real
     out = irfft(half, p, norm="forward")
-    return out if n_out == p else np.resize(out, n_out)
+    if n_out == p:
+        return out
+    del spec, half
+    tiled = np.empty(n_out)  # np.resize(out, n_out), in an array of n_out samples
+    for start in range(0, n_out, p):
+        tiled[start : start + p] = out[: n_out - start]
+    return tiled
 
 
 def clean_baseband(

@@ -18,6 +18,8 @@ def write_pgm(path, image01: np.ndarray) -> None:
     img = np.asarray(image01)
     if img.ndim != 2:
         raise ValidationError(f"PGM image must be 2-D, got shape {img.shape}")
+    if not np.isfinite(img).all():
+        raise ValidationError("PGM image holds NaN or inf values")
     data = np.rint(np.clip(img, 0.0, 1.0) * 255.0).astype(np.uint8)
     h, w = data.shape
     path = Path(path)

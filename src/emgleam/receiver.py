@@ -14,6 +14,7 @@ whose scores sum lowest.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import asdict, dataclass, field
 
@@ -39,6 +40,9 @@ _EDGE_Z = 5.0
 _RECON_CHUNK = 16_384
 # Samples demodulated at a time through one reused complex128 buffer.
 _DEMOD_BLOCK = 16_384
+# Columns per block of the column medians of frame alignment; a block's
+# partitioned copy stays small.
+_MEDIAN_BLOCK = 64
 # Head samples per overlap-save block of the sync cross-correlation; a
 # block's transforms stay in cache.
 _SYNC_BLOCK = 8_192
@@ -77,7 +81,7 @@ class Emage:
         px = np.asarray(self.pixels, dtype=np.float32)
         if px.shape != (self.height_px, self.width_px):
             raise ValidationError(f"pixel grid {px.shape} != ({self.height_px}, {self.width_px})")
-        if px.size and (float(px.min()) < 0.0 or float(px.max()) > 1.0):
+        if px.size and not (0.0 <= float(px.min()) and float(px.max()) <= 1.0):  # NaN fails both
             raise ValidationError("emage values must lie in [0, 1]")
         if self.frames_averaged < 1:
             raise ValidationError("frames_averaged must be >= 1")
@@ -157,16 +161,19 @@ def estimate_frame_rate(
     """
     mag = np.asarray(magnitude, dtype=np.float64)
     lag0 = sample_rate_hz / f_r_hint
-    if len(mag) < 2 * lag0:
-        raise ValidationError(
-            f"need >= 2 frames at {f_r_hint} Hz ({int(2 * lag0)} samples), got {len(mag)}"
-        )
+    # the length capture(frames=2) writes, rounded as it rounds
+    need = round(2 * sample_rate_hz / f_r_hint)
+    if len(mag) < need:
+        raise ValidationError(f"need >= 2 frames at {f_r_hint} Hz ({need} samples), got {len(mag)}")
     span = max(1, int(np.ceil(lag0 * search_ppm * 1e-6)))
     lo = max(1, int(np.floor(lag0)) - span)
     hi = min(len(mag) - 2, int(np.ceil(lag0)) + span)
     if hi - lo < 2:
         raise ValidationError("search window too narrow for peak refinement")
 
+    mean = float(mag.mean())
+    if not math.isfinite(mean):  # a NaN or inf sample reaches the mean
+        raise ValidationError("envelope holds non-finite samples")
     if not np.ptp(mag) > 0:  # a flat envelope has no frame periodicity at all
         raise NoSyncError(f"no frame periodicity near {f_r_hint} Hz (flat envelope)")
     # corr(lag) = a.b / sqrt(a.a * b.b) with a = x[:n - lag], b = x[lag:]:
@@ -175,7 +182,7 @@ def estimate_frame_rate(
     # [i, i + B + w), so one correlation of the two at a length of at least
     # B + w, where no shift wraps, gives the block's share of every a.b; the
     # blocks' cross-spectra add up to that of the whole, inverted once
-    x = mag - mag.mean()
+    x = mag - mean
     n = len(x)
     w, m = hi - lo, n - lo
     nfft = _fast_len(min(_SYNC_BLOCK, m) + w)
@@ -209,6 +216,17 @@ def estimate_frame_rate(
     return sample_rate_hz / lag_best
 
 
+def _column_medians(avg: np.ndarray) -> np.ndarray:
+    """np.partition(avg, h // 2, axis=0)[h // 2], the upper median of each
+    column, partitioning _MEDIAN_BLOCK columns at a time instead of a copy
+    of the whole array."""
+    h, w = avg.shape
+    out = np.empty(w, dtype=avg.dtype)
+    for c in range(0, w, _MEDIAN_BLOCK):
+        out[c : c + _MEDIAN_BLOCK] = np.partition(avg[:, c : c + _MEDIAN_BLOCK], h // 2, axis=0)[h // 2]
+    return out
+
+
 def _row_energy(avg: np.ndarray) -> np.ndarray:
     """Per-row strength of the edges that every visible line shares.
 
@@ -224,8 +242,8 @@ def _row_energy(avg: np.ndarray) -> np.ndarray:
     profile without such columns (a sheared emage, whose edges drift across
     columns) falls back to the plain row mean.
     """
-    h, w = avg.shape
-    profile = np.partition(avg, h // 2, axis=0)[h // 2]
+    w = avg.shape[1]
+    profile = _column_medians(avg)
     excess = profile - np.median(profile)
     spread = 1.4826 * float(np.median(np.abs(excess)))
     weights = np.where(excess > _EDGE_Z * spread, excess, 0.0)
@@ -262,6 +280,11 @@ def reconstruct(recording: IqRecording, params: ReconParams) -> Emage:
     (an all-equal result maps to 0.5).  The grid is interpolated in chunks
     of _RECON_CHUNK cells, all frames of a chunk at once; every cell still
     sums its frames in index order.
+
+    Three full-size arrays are held: the float64 envelope, the float64
+    accumulator, which is averaged, aligned on and normalised in place,
+    and the float32 pixels, which take the frame-start row rotation as
+    they are written.  A NaN or inf sample is a ValidationError.
     """
     sidecar_fr = recording.timing.f_r
     if abs(params.f_r_hz - sidecar_fr) > 0.05 * sidecar_fr:
@@ -290,23 +313,27 @@ def reconstruct(recording: IqRecording, params: ReconParams) -> Emage:
             base = np.minimum(np.floor(pos).astype(np.int64), len(mag) - 2)
             frac = pos - base
             chunk += mag[base] * (1.0 - frac) + mag[base + 1] * frac
-    avg = (acc / n_frames).reshape(h, w)
+    acc /= n_frames
+    avg = acc.reshape(h, w)
+    lo, hi = float(avg.min()), float(avg.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValidationError("recording holds non-finite samples")
 
     t = recording.timing
     start_row = _frame_start_row(avg, round((t.y_t - t.visible_h) * h / t.y_t))
-    if start_row:
-        avg = np.roll(avg, -start_row, axis=0)
-
-    lo, hi = float(avg.min()), float(avg.max())
     if hi > lo:
-        norm = (avg - lo) / (hi - lo)
+        avg -= lo
+        avg /= hi - lo
     else:
-        norm = np.full_like(avg, 0.5)
+        avg.fill(0.5)
+    pixels = np.empty((h, w), dtype=np.float32)  # row r is avg's row (r + start_row) mod h
+    pixels[: h - start_row] = avg[start_row:]
+    pixels[h - start_row :] = avg[:start_row]
 
     return Emage(
         width_px=w,
         height_px=h,
-        pixels=norm.astype(np.float32),
+        pixels=pixels,
         frames_averaged=n_frames,
         source_meta={"params": asdict(params), "source": recording.sidecar()},
     )

@@ -432,6 +432,14 @@ class TestTrain:
         assert result.best_val_accuracy == max(h["val_accuracy"] for h in result.history)
         assert result.model.meta["val_accuracy"] == result.best_val_accuracy
 
+    def test_returned_model_holds_no_backward_records(self):
+        x, y = blobs(40, seed=4)
+        result = train(init_model(SMALL, seed=5), (x, y % 4), (x, y % 4),
+                       TrainConfig(epochs=2, batch_size=16, seed=0))
+        records = ("_cols", "_mask", "_first", "_x")  # conv, ReLU, pooling, dense
+        assert not [(type(lay).__name__, r) for lay in result.model.layers for r in records
+                    if hasattr(lay, r)]
+
     def test_training_determinism(self):
         x, y = blobs(50, seed=6)
 

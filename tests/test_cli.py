@@ -196,6 +196,22 @@ class TestPipeline:
         assert "resolution" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["reconstruct", "snr"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_sample_exits_2(self, pipeline, tmp_path, capsys, command, bad):
+        path = tmp_path / "m.iq"
+        data = np.fromfile(pipeline / "m.iq", "<f4")
+        data[200_001] = bad  # the Q of one sample
+        data.tofile(path)
+        (tmp_path / "m.iq.json").write_bytes((pipeline / "m.iq.json").read_bytes())
+        # the reader returns the file's bits, NaN or inf included
+        assert IqRecording.load(path).samples.tobytes() == path.read_bytes()
+        out = tmp_path / ("e.pgm" if command == "reconstruct" else "m.snr.json")
+        extra = ["--profile", "galaxy_a3"] if command == "reconstruct" else []
+        assert run([command, path, *extra, "-o", out]) == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_emanate_determinism(self, pipeline):
         d = pipeline
         again = d / "again.iq"

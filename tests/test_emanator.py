@@ -18,6 +18,7 @@ from emgleam.emanator import (
     _component_baseband,
     _frame_spectrum,
     _period,
+    _periodic_highpass,
     add_noise,
     capture,
     clean_baseband,
@@ -111,6 +112,13 @@ class TestEmanate:
         assert np.allclose(y[idx], x[idx] - x[idx - 1] + alpha * y[idx - 1], rtol=0, atol=1e-12)
         # and across the wrap: the frame before sample 0 is this same frame
         assert y[0] == pytest.approx(x[0] - x[n - 1] + alpha * y[n - 1], rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("timing", [DisplayTiming(1, 1, 60.0, 1, 1), LAB_TIMING,
+                                        get_profile("iphone6s").timing()], ids=["1", "lab", "iphone6s"])
+    def test_first_difference_equals_the_rolled_copy(self, timing):
+        lum = np.random.default_rng(5).random((timing.visible_h, timing.visible_w)).astype(np.float32)
+        frame = video_waveform(ScreenRaster(timing.visible_w, timing.visible_h, lum, []), timing)
+        assert np.array_equal(_periodic_highpass(frame, 0.0), frame - np.roll(frame, 1))
 
     @pytest.mark.parametrize("frames", [0, -1])
     def test_bad_frame_count_is_validation_error(self, frames):
@@ -426,6 +434,22 @@ class TestRealBaseband:
             got = _component_baseband(frame, timing.f_r, fs, half_band, n_out)
             assert got.dtype == np.float64 and got.shape == (n_out,)
             assert rel_err(got, complex_baseband(frame, timing.f_r, fs, half_band, n_out)) <= 1e-15
+
+    @pytest.mark.parametrize("name, frames", [
+        ("lab96x128", 1), ("lab96x128", 4), ("lab96x128", 7), ("iphone6s", 1),
+    ])
+    def test_tiles_into_exactly_n_out_samples(self, name, frames):
+        # P = 3 frames here: one frame is a third of a period, four frames
+        # a period and a part, seven two periods and a part
+        timing, fs, bw = PANELS[name]
+        frame = emanate(random_grid_raster(2) if name.startswith("lab")
+                        else blank_screen(timing.visible_w, timing.visible_h), timing, LeakageModel()).samples
+        period = _period(fs, timing.f_r)
+        n_out = round(frames * period)
+        got = _component_baseband(frame, timing.f_r, fs, bw / 2, n_out)
+        assert got.base is None and got.shape == (n_out,)
+        full = _component_baseband(frame, timing.f_r, fs, bw / 2, period.numerator)
+        assert np.array_equal(got, np.resize(full, n_out))
 
     def test_band_spanning_the_sample_rate_meets_at_nyquist(self):
         # fs = 200 f_r: harmonics +100 and -100 both land on bin P/2 = 100

@@ -240,6 +240,13 @@ class TestPgmSerialization:
         img = read_pgm(p)
         assert list(np.rint(img * 255).astype(int)[0]) == [0, 127, 128, 255]
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_write_rejects_non_finite_values(self, tmp_path, bad):
+        p = tmp_path / "x.pgm"
+        with pytest.raises(ValidationError, match="NaN or inf"):
+            write_pgm(p, np.array([[0.5, bad]]))
+        assert not p.exists()
+
     def test_rejects_non_pgm(self, tmp_path):
         p = tmp_path / "bad.pgm"
         p.write_bytes(b"P6\n1 1\n255\n\x00\x00\x00")

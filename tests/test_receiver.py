@@ -1,5 +1,7 @@
 import re
+import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -48,6 +50,15 @@ def per_lag_frame_rate(mag, fs, f_r_hint, search_ppm=1000.0):
     curvature = c_m - 2 * c_0 + c_p
     lag = lo + best + (0.5 * (c_m - c_p) / curvature if curvature < 0 else 0.0)
     return fs / lag
+
+
+@pytest.fixture(scope="module")
+def galaxy_capture():
+    """One galaxy_a3 frame of a blank screen at its own rates and 25 dB."""
+    ga = get_profile("galaxy_a3")
+    leak = emanate(blank_screen(ga.visible_w, ga.visible_h), ga.timing(), ga.leakage())
+    return capture(leak, ChannelModel(target_snr_db=25.0, rng_seed=6), ga.sample_rate_hz,
+                   bandwidth_hz=ga.bandwidth_hz)
 
 
 def lab_params(**kw):
@@ -158,6 +169,30 @@ class TestEstimateFrameRate:
         with pytest.raises(ValidationError, match="2 frames"):
             estimate_frame_rate(np.ones(1000), LAB_FS, 60.0, 1000.0)
 
+    def test_two_frame_phone_capture_syncs(self):
+        # capture(frames=2) writes round(2 fs / f_r) = 833,333 samples at
+        # 25 MS/s and 60 Hz, a third of a sample short of two whole frames
+        ip = get_profile("iphone6s")
+        screen = render_digit_grid(40, 40, [str(d % 10) for d in range(1600)], ip.visible_w, ip.visible_h)
+        leak = emanate(screen, ip.timing(), ip.leakage(), frames=2)
+        rec = capture(leak, ChannelModel(target_snr_db=25.0, rng_seed=4), ip.sample_rate_hz,
+                      bandwidth_hz=ip.bandwidth_hz)
+        mag = am_demod(rec)
+        assert len(mag) == 833_333
+        est = estimate_frame_rate(mag, ip.sample_rate_hz, ip.f_r)
+        assert abs(est - ip.f_r) / ip.f_r < 1e-6
+        with pytest.raises(ValidationError, match=re.escape("(833333 samples), got 833332")):
+            estimate_frame_rate(mag[:-1], ip.sample_rate_hz, ip.f_r)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_envelope_is_validation_error(self, bad):
+        mag = am_demod(lab_capture(random_grid_raster(3), frames=3, snr_db=30.0, seed=1))
+        mag[1234] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="non-finite"):
+                estimate_frame_rate(mag, LAB_FS, 60.0, 1000.0)
+
     def test_fft_length_equals_scipy_next_fast_len(self):
         from scipy.fft import next_fast_len
 
@@ -228,6 +263,75 @@ class TestReconstruct:
         whole = reconstruct(rec, params)
         assert chunked.frames_averaged == whole.frames_averaged == 3
         assert np.array_equal(chunked.pixels, whole.pixels)
+
+    @pytest.mark.parametrize("case", ["row0", "rotated", "flat"])
+    def test_equals_the_rolled_and_normalised_copy(self, monkeypatch, case):
+        """The in-place tail of reconstruct gives the bits of np.roll, a
+        normalised copy and astype on the averaged grid."""
+        if case == "flat":
+            rec = fake_recording(np.full(int(LAB_FS / 60) + 1, 2.0 + 0j))
+        else:
+            rec = lab_capture(random_grid_raster(4), frames=3, snr_db=20.0, seed=1)
+            if case == "rotated":  # start the recording 40% into a frame
+                rec = fake_recording(rec.samples[round(0.4 * LAB_FS / 60) :])
+        seen = []
+
+        def spy(avg, blank_rows):
+            seen.append((avg.copy(), real(avg, blank_rows)))
+            return seen[-1][1]
+
+        real = receiver._frame_start_row
+        monkeypatch.setattr(receiver, "_frame_start_row", spy)
+        pixels = reconstruct(rec, lab_params()).pixels
+        ((avg, start_row),) = seen
+        if case != "flat":  # a flat grid's darkest band is any band
+            assert (start_row > 0) == (case == "rotated")
+        avg = np.roll(avg, -start_row, axis=0)
+        lo, hi = float(avg.min()), float(avg.max())
+        norm = (avg - lo) / (hi - lo) if hi > lo else np.full_like(avg, 0.5)
+        assert pixels.dtype == np.float32
+        assert np.array_equal(pixels, norm.astype(np.float32))
+
+    @pytest.mark.parametrize("h, w", [(137, 1), (137, 63), (136, 65), (1409, 966)])
+    def test_blocked_column_medians_equal_one_partition(self, h, w):
+        assert w % receiver._MEDIAN_BLOCK
+        avg = np.random.default_rng(w).random((h, w))
+        assert np.array_equal(receiver._column_medians(avg), np.partition(avg, h // 2, axis=0)[h // 2])
+
+    def test_holds_envelope_accumulator_and_pixels_only(self):
+        ip = get_profile("iphone6s")
+        leak = emanate(blank_screen(ip.visible_w, ip.visible_h), ip.timing(), ip.leakage(), frames=3)
+        rec = capture(leak, ChannelModel(target_snr_db=25.0, rng_seed=2), ip.sample_rate_hz,
+                      bandwidth_hz=ip.bandwidth_hz)
+        params = ip.recon_params()
+        cells = params.width_px * params.height_px
+        # the float64 envelope and accumulator and the float32 pixels, plus
+        # a slack for ten float64 interpolation temporaries of one chunk and
+        # two column blocks of the alignment's medians (2.7 MB); one more
+        # full-size copy, 5.5 MB even in float32, exceeds it
+        slack = 10 * 8 * receiver._RECON_CHUNK + 2 * 8 * params.height_px * receiver._MEDIAN_BLOCK
+        bound = 8 * len(rec.samples) + 8 * cells + 4 * cells + slack
+        assert slack < 4 * cells
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            emage = reconstruct(rec, params)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert emage.frames_averaged == 3
+        assert peak <= bound, f"{peak / 1e6:.1f} MB traced above the input, bound {bound / 1e6:.1f} MB"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_sample_is_validation_error(self, galaxy_capture, bad):
+        samples = galaxy_capture.samples.copy()
+        samples[100_000] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            reconstruct(replace(galaxy_capture, samples=samples), get_profile("galaxy_a3").recon_params())
+
+    def test_nan_pixel_is_rejected(self):
+        with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+            Emage(2, 2, [[np.nan, 0.5], [0.2, 0.1]], 1)
 
     def test_too_short_rejected(self):
         rec = fake_recording(np.ones(1000))
@@ -360,6 +464,13 @@ class TestMeasureSnr:
     def test_capture_target_round_trip(self):
         rec = lab_capture(random_grid_raster(9), snr_db=25.0, seed=4)
         assert measure_snr(rec) == pytest.approx(25.0, abs=0.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_sample_is_validation_error(self, galaxy_capture, bad):
+        samples = galaxy_capture.samples.copy()
+        samples[100_000] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            measure_snr(replace(galaxy_capture, samples=samples))
 
     def test_resolution_must_be_below_band(self):
         rec = lab_capture(random_grid_raster(9))
