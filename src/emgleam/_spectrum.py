@@ -1,9 +1,10 @@
 """Shared Welch-periodogram helpers for SNR measurement and noise calibration.
 
-Both the receiver's SNR meter and the channel's noise calibration must use
-the same estimator, otherwise "requested" and "measured" SNR drift apart.
-SNR here is always: peak periodogram bin over the median bin in the
-analysis band, in dB.
+The receiver's SNR meter and the channel's noise calibration share one
+estimator, with no override of its band or resolution, so a measured SNR
+reads on the same scale as the requested one.  SNR here is always: peak
+periodogram bin over the median bin of the whole captured band, at
+RESOLUTION_HZ, in dB.
 
 The estimator is Welch's averaged periodogram (periodic Hann window, half
 overlap, no detrending, two-sided, density scaling), computed directly with
@@ -27,7 +28,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ValidationError
 
 _WELCH_BLOCK = 128  # segments per FFT call; a block's spectra stay in cache
-# Periodogram resolution of noise calibration, and the SNR meter's default
+# Periodogram resolution of noise calibration and of the SNR meter
 RESOLUTION_HZ = 25e3
 # ln Gamma(k + 1) - (k ln k - k + ln(2 pi k) / 2) = sum_i c_i / k^(2i+1),
 # Stirling's series; its next term is below 1e-21 for k > 100
@@ -103,23 +104,11 @@ def median_bias(n_segments: int) -> float:
     return x / k
 
 
-def band_slice(freqs: np.ndarray, band_hz: float):
-    """Indices of bins within band_hz around 0 Hz, clipped to Nyquist.
-
-    Returns (mask, clipped) where clipped says the requested interval ran
-    past the available frequency range.
-    """
-    lo, hi = -band_hz / 2.0, band_hz / 2.0
-    clipped = bool(lo < freqs[0] or hi > freqs[-1])
-    mask = (freqs >= max(lo, freqs[0])) & (freqs <= min(hi, freqs[-1]))
-    return mask, clipped
-
-
-def peak_over_median_db(psd_band: np.ndarray) -> float:
-    peak = float(np.max(psd_band))
+def peak_over_median_db(psd: np.ndarray) -> float:
+    peak = float(np.max(psd))
     if not math.isfinite(peak):  # a NaN or inf sample spreads over its segments' bins
         raise ValidationError("non-finite spectrum: the recording holds non-finite samples")
-    floor = float(np.median(psd_band))
+    floor = float(np.median(psd))
     if floor <= 0.0:
         return 0.0 if peak <= 0.0 else float("inf")
     return 10.0 * np.log10(peak / floor)

@@ -25,7 +25,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._spectrum import RESOLUTION_HZ
 from .attack import attack_session
 from .classifier import CnnSpec, TrainConfig, grad_check, init_model, load_model, save_model, train
 from .dataset import (build_training_sets, grid_crop, load_items, load_session, load_training_set,
@@ -144,7 +143,7 @@ def _cmd_emanate(args) -> int:
     profile = get_profile(args.profile)
     raster = ScreenRaster.load(args.raster)
     timing = profile.timing()
-    leak_model = profile.leakage(highpass_alpha=args.alpha)
+    leak_model = profile.leakage()
     snr = _parse_snr(args.snr, ("none", "off"))
     channel = ChannelModel(
         distance_r=args.distance,
@@ -189,7 +188,7 @@ def _cmd_reconstruct(args) -> int:
 
 def _cmd_snr(args) -> int:
     recording = IqRecording.load(args.recording)
-    value = measure_snr(recording, band_hz=args.band, resolution_hz=args.resolution)
+    value = measure_snr(recording)
     output = args.output or (str(args.recording) + ".snr.json")
     dump_json(output, {"snr_db": value})
     _echo_config(output, "snr", args)
@@ -363,7 +362,6 @@ def build_parser() -> _Parser:
     p.add_argument("--frames", type=int, default=1)
     p.add_argument("--snr", default="none", help="target SNR in dB, or 'none'")
     p.add_argument("--distance", type=float, default=1.0)
-    p.add_argument("--alpha", type=float, default=0.0, help="high-pass pole")
     p.add_argument("--sample-rate", type=float, default=None)
     p.add_argument("--bandwidth", type=float, default=None)
     p.add_argument("-o", "--output", required=True)
@@ -381,8 +379,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("snr", help="measure peak-over-median SNR of a recording")
     p.add_argument("recording")
-    p.add_argument("--band", type=float, default=None)
-    p.add_argument("--resolution", type=float, default=RESOLUTION_HZ)
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_snr)
 

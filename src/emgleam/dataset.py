@@ -149,13 +149,21 @@ class Session:
         dump_json(self.directory / "manifest.json", self.manifest())
 
 
+def _label(item: dict, manifest: Path) -> str:
+    """A manifest item's label: a digit, or a code's digits, in ASCII."""
+    label = item["label"]
+    if not (isinstance(label, str) and label.isascii() and label.isdigit()):
+        raise ValidationError(f"{manifest}: label {label!r} is not ASCII digits")
+    return label
+
+
 def load_session(directory) -> Session:
     directory = Path(directory)
     with read_record(directory / "manifest.json") as m:
         items = [
             SessionItem(
                 path=d["path"],
-                label=d["label"],
+                label=_label(d, directory / "manifest.json"),
                 crop=(d["crop"]["x"], d["crop"]["y"], d["crop"]["w"], d["crop"]["h"]),
                 screen=int(d["screen"]),
             )
@@ -395,8 +403,13 @@ def build_training_sets(
     for every training set, and Training k takes the first schedule[k]
     sessions of the remainder (so the sets are nested).  Within each
     training set the items split by the 80/10/10 SPLIT_FRACTIONS.  Flagged
-    sessions are left out.
+    sessions are left out.  Every schedule entry takes at least one
+    session, and n_test is at least 0.
     """
+    if not schedule or min(schedule) < 1:
+        raise ValidationError(f"schedule {schedule} must take at least one session per training set")
+    if n_test < 0:
+        raise ValidationError(f"{n_test} test sessions: the count cannot be negative")
     usable = sorted([s for s in sessions if not s.flagged], key=lambda s: s.id)
     need = max(schedule) + n_test
     if len(usable) < need:
@@ -454,7 +467,7 @@ def load_items(root, paths: list[str]) -> tuple[np.ndarray, np.ndarray, list[str
         manifest = root / parts[0] / parts[1] / "manifest.json"
         if parts[1] not in tables:
             with read_record(manifest) as m:
-                tables[parts[1]] = {d["path"]: d["label"] for d in m["items"]}
+                tables[parts[1]] = {d["path"]: _label(d, manifest) for d in m["items"]}
         label = tables[parts[1]].get("/".join(parts[2:]))
         if label is None:
             raise ValidationError(f"{root / rel}: not an item listed in {manifest}")

@@ -2,13 +2,13 @@
 
 A raster plus display timing defines a pixel-clock video waveform (visible
 luminance plus zero-luminance blanking).  The cable radiates at signal
-transitions, modeled as a one-pole high-pass of the pixel stream, amplitude
-modulated onto a carrier at an harmonic of the pixel clock.  ``capture``
-then produces what a software-defined radio tuned to that carrier would
-record: the modulation spectrum band-limited to the capture bandwidth,
-sampled at the ADC rate, attenuated with near-field distance as
-amplitude ~ r^-2.5 (power density ~ r^-5), plus complex white noise
-calibrated to the target SNR at r = 1.
+transitions, modeled as the circular first difference of the pixel
+stream, amplitude modulated onto a carrier at an harmonic of the pixel
+clock.  ``capture`` then produces what a software-defined radio tuned to
+that carrier would record: the modulation spectrum band-limited to the
+capture bandwidth, sampled at the ADC rate, attenuated with near-field
+distance as amplitude ~ r^-2.5 (power density ~ r^-5), plus complex
+white noise calibrated to the target SNR at r = 1.
 
 ``capture`` is two public steps.  ``clean_baseband`` does everything that
 does not depend on the noise: the synthesis and the noise calibration.
@@ -102,16 +102,14 @@ class DisplayTiming:
 
 @dataclass(frozen=True)
 class LeakageModel:
-    """Which pixel-clock harmonic carries the leak, and its high-pass pole."""
+    """Which pixel-clock harmonic carries the leak; the leak itself is the
+    circular first difference of the pixel stream."""
 
     harmonic: int = 5
-    highpass_alpha: float = 0.0
 
     def __post_init__(self):
         if self.harmonic < 1:
             raise ValidationError("harmonic must be a positive integer")
-        if not 0.0 <= self.highpass_alpha < 1.0:
-            raise ValidationError("highpass_alpha must lie in [0, 1)")
 
     def carrier_hz(self, timing: DisplayTiming) -> float:
         return self.harmonic * timing.pixel_clock_hz
@@ -140,7 +138,7 @@ class ChannelModel:
 
 @dataclass
 class LeakSignal:
-    """One period of the high-passed pixel stream, radiated for ``frames`` frames."""
+    """One period of the differenced pixel stream, radiated for ``frames`` frames."""
 
     samples: np.ndarray  # float64, x_t * y_t at the pixel clock
     timing: DisplayTiming
@@ -157,6 +155,10 @@ class IqRecording:
     samples: np.ndarray  # complex64
     timing: DisplayTiming
     seed: int = 0
+
+    def __post_init__(self):
+        if not 0 < self.sample_rate_hz < math.inf:
+            raise ValidationError(f"sample rate {self.sample_rate_hz} must be finite and positive")
 
     def sidecar(self) -> dict:
         return {
@@ -201,22 +203,16 @@ def video_waveform(raster: ScreenRaster, timing: DisplayTiming) -> np.ndarray:
     return frame.reshape(-1)
 
 
-def _periodic_highpass(frame: np.ndarray, alpha: float) -> np.ndarray:
-    """y[n] = x[n] - x[n-1] + alpha*y[n-1] in periodic steady state.
+def _periodic_highpass(frame: np.ndarray) -> np.ndarray:
+    """y[n] = x[n] - x[n-1], the circular first difference.
 
-    The frame repeats, so x[-1] is x[N-1] and y[-1] is y[N-1]: the filter
-    acts circularly.  Its exact response divides each of the N frame
-    harmonics of the first difference by the pole's 1 - alpha*e^{-jw}.
-    The circular difference is written into one new array, which alpha = 0
-    returns as it stands.
+    The frame repeats, so x[-1] is x[N-1].  The difference is written into
+    one new array.
     """
     diff = np.empty_like(frame)
     np.subtract(frame[1:], frame[:-1], out=diff[1:])
     diff[0] = frame[0] - frame[-1]
-    if alpha == 0.0:
-        return diff
-    w = 2.0 * np.pi * np.arange(len(frame) // 2 + 1) / len(frame)
-    return irfft(rfft(diff) / (1.0 - alpha * np.exp(-1j * w)), len(frame))
+    return diff
 
 
 def emanate(
@@ -230,7 +226,7 @@ def emanate(
         raise ValidationError("frames must be >= 1")
     wave = video_waveform(raster, timing)
     return LeakSignal(
-        samples=_periodic_highpass(wave, leak.highpass_alpha),
+        samples=_periodic_highpass(wave),
         timing=timing,
         carrier_hz=leak.carrier_hz(timing),
         frames=frames,

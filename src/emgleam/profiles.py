@@ -22,8 +22,9 @@ leak center:
 * honor6x:   36.6 dB, 465 MHz
 * galaxy_a3: 25.9 dB, 295 MHz
 
-The simulation places its carrier at harmonic * pixel clock instead (the
-observed centers are not derivable from the published refresh rates).
+The simulation places its carrier at the fifth pixel-clock harmonic
+instead (the observed centers are not derivable from the published
+refresh rates).
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ class PhoneProfile:
     recon_w: int
     grid_content_w: int  # screen area tiled by the default 40x40 grid
     grid_content_h: int
-    harmonic: int = 5
     sample_rate_hz: float = 25e6
     bandwidth_hz: float = 12.5e6
 
@@ -79,8 +79,8 @@ class PhoneProfile:
     def timing(self) -> DisplayTiming:
         return DisplayTiming(self.x_t, self.y_t, self.f_r, self.visible_w, self.visible_h)
 
-    def leakage(self, highpass_alpha: float = 0.0) -> LeakageModel:
-        return LeakageModel(self.harmonic, highpass_alpha)
+    def leakage(self) -> LeakageModel:
+        return LeakageModel()
 
     def recon_params(self, **overrides) -> ReconParams:
         kw = dict(width_px=self.recon_w, height_px=self.recon_h, f_r_hz=self.f_r)

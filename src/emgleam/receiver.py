@@ -15,13 +15,12 @@ whose scores sum lowest.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from numpy.fft import irfft, rfft
 
-from ._spectrum import RESOLUTION_HZ, band_slice, peak_over_median_db, welch_psd
+from ._spectrum import RESOLUTION_HZ, peak_over_median_db, welch_psd
 from .emanator import IqRecording
 from .errors import NoSyncError, ValidationError
 from .pgmio import read_pgm, write_pgm
@@ -339,28 +338,10 @@ def reconstruct(recording: IqRecording, params: ReconParams) -> Emage:
     )
 
 
-def measure_snr(
-    recording: IqRecording,
-    band_hz: float | None = None,
-    resolution_hz: float = RESOLUTION_HZ,
-) -> float:
-    """Peak-over-median periodogram SNR in dB.
-
-    The analysis band is centred on the capture centre, the carrier a
-    capture is tuned to; it defaults to 50 MHz capped at the sample rate.
-    An explicitly requested band reaching past Nyquist is clipped with a
-    warning.  The resolution must lie strictly between 0 and the band.
-    """
-    explicit_band = band_hz is not None
-    if band_hz is None:
-        band_hz = min(50e6, recording.sample_rate_hz)
-    if not 0 < resolution_hz < band_hz:
-        raise ValidationError(f"resolution {resolution_hz} must lie between 0 and band {band_hz}")
+def measure_snr(recording: IqRecording) -> float:
+    """Peak-over-median periodogram SNR in dB, over the whole captured band
+    at the noise calibration's resolution (``_spectrum.RESOLUTION_HZ``):
+    the estimator that sets a capture's requested SNR."""
     if len(recording.samples) == 0:
         raise ValidationError("empty recording")
-
-    freqs, psd, _ = welch_psd(recording.samples, recording.sample_rate_hz, resolution_hz)
-    mask, clipped = band_slice(freqs, band_hz)
-    if clipped and explicit_band:
-        warnings.warn(f"analysis band {band_hz:.3g} Hz exceeds Nyquist; clipped", stacklevel=2)
-    return peak_over_median_db(psd[mask])
+    return peak_over_median_db(welch_psd(recording.samples, recording.sample_rate_hz, RESOLUTION_HZ)[1])

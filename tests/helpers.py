@@ -43,14 +43,14 @@ def random_grid_raster(seed: int, rows: int = 3, cols: int = 4):
     return render_digit_grid(rows, cols, digits, LAB_W, LAB_H)
 
 
-def edge_reference(raster, timing: DisplayTiming, leak: LeakageModel, grid_w: int, grid_h: int) -> np.ndarray:
-    """Ideal reconstruction target: |high-passed waveform| on the emage grid.
+def edge_reference(raster, timing: DisplayTiming, grid_w: int, grid_h: int) -> np.ndarray:
+    """Ideal reconstruction target: |first-differenced waveform| on the emage grid.
 
     The independent reference of the round-trip fidelity checks: it never
     touches the capture/reconstruction path.
     """
     wave = video_waveform(raster, timing)
-    mag = np.abs(_periodic_highpass(wave, leak.highpass_alpha))
+    mag = np.abs(_periodic_highpass(wave))
     n_p = len(mag)
     pos = np.arange(grid_w * grid_h, dtype=np.float64) * (n_p / (grid_w * grid_h))
     base = np.floor(pos).astype(np.int64)

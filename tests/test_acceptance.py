@@ -62,7 +62,7 @@ def test_criterion_01_round_trip_fidelity():
         leak = emanate(raster, LAB_TIMING, LAB_LEAK, frames=1)
         recording = capture(leak, ChannelModel(rng_seed=seed), sample_rate_hz=25e6)
         emage = reconstruct(recording, ReconParams(LAB_TIMING.x_t, LAB_TIMING.y_t, LAB_TIMING.f_r))
-        reference = edge_reference(raster, LAB_TIMING, LAB_LEAK, LAB_TIMING.x_t, LAB_TIMING.y_t)
+        reference = edge_reference(raster, LAB_TIMING, LAB_TIMING.x_t, LAB_TIMING.y_t)
         values.append(ncc(emage.pixels, reference))
     elapsed = time.time() - started
     worst = min(values)

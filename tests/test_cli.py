@@ -26,9 +26,15 @@ class TestBasics:
         ["snr", "m.iq", "--seed", 1],
         ["crop", "e.pgm", "--rows", 1, "--cols", 1, "--cell", "1x1", "--seed", 1, "-o", "c"],
         ["attack", "--model", "m.bin", "--session", "s", "--seed", 1, "-o", "r.json"],
-    ], ids=["emanate-coupling", "reconstruct-seed", "snr-seed", "crop-seed", "attack-seed"])
+        ["emanate", "m.pgm", "--profile", "galaxy_a3", "--alpha", 0.5, "-o", "m.iq"],
+        ["snr", "m.iq", "--band", 1e6],
+        ["snr", "m.iq", "--resolution", 5e3],
+    ], ids=["emanate-coupling", "reconstruct-seed", "snr-seed", "crop-seed", "attack-seed",
+            "emanate-alpha", "snr-band", "snr-resolution"])
     def test_flags_that_change_no_output_are_usage_errors(self, capsys, argv):
-        # a coupling gain cancels against the SNR-calibrated noise; these four draw no random numbers
+        # a coupling gain cancels against the SNR-calibrated noise; these four draw no random
+        # numbers; the emission is the first difference, and the meter reads the calibration's
+        # estimator over the whole band
         assert run(argv) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
 
@@ -82,7 +88,7 @@ class TestBasics:
         (["--sample-rate", "nan"], "must be finite and positive"),
         (["--sample-rate", "inf"], "must be finite and positive"),
         (["--bandwidth", "nan"], "must be finite and positive"),
-        (["--alpha", 1], "highpass_alpha must lie in [0, 1)"),
+        (["--distance", 0], "distance_r 0.0 must be finite and positive"),
         (["--distance", "inf"], "distance_r inf must be finite and positive"),
         # 0 is a value, not "use the profile's rate"
         (["--sample-rate", 0], "must be finite and positive"),
@@ -188,13 +194,6 @@ class TestPipeline:
         value = float(out.split("SNR:")[1].split("dB")[0])
         assert value == pytest.approx(25.9, abs=0.5)
         assert (pipeline / "m.iq.snr.json").exists()
-
-    @pytest.mark.parametrize("flag", ["--resolution=0", "--resolution=-5e3"])
-    def test_snr_resolution_must_be_positive(self, pipeline, capsys, flag):
-        out = pipeline / "bad.snr.json"
-        assert run(["snr", pipeline / "m.iq", flag, "-o", out]) == 2
-        assert "resolution" in capsys.readouterr().err
-        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["reconstruct", "snr"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
@@ -467,6 +466,21 @@ class TestMalformedInputs:
         assert f"error: {sidecar}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "e.pgm").exists()
 
+    @pytest.mark.parametrize("command", ["reconstruct", "snr"])
+    @pytest.mark.parametrize("rate", [0.0, -25e6, float("nan"), float("inf")], ids=["0", "neg", "nan", "inf"])
+    def test_bad_sample_rate_in_sidecar(self, tmp_path, capsys, command, rate):
+        # not a ZeroDivisionError, a frame of negative length or a "non-finite samples" reading
+        path = tmp_path / "r.iq"
+        IqRecording(1e3, 0.0, np.ones(64, np.complex64), DisplayTiming.for_visible(8, 8)).save(path)
+        sidecar = tmp_path / "r.iq.json"
+        meta = json.loads(sidecar.read_text())
+        meta["sample_rate_hz"] = rate
+        sidecar.write_text(json.dumps(meta))
+        out = tmp_path / ("e.pgm" if command == "reconstruct" else "r.snr.json")
+        assert run([command, path, "-o", out]) == 2
+        assert f"sample rate {rate} must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         pytest.param(lambda tmp, none: ["reconstruct", none, "-o", tmp / "e.pgm"], id="reconstruct-recording"),
         pytest.param(lambda tmp, none: ["emanate", none, "--profile", "galaxy_a3", "-o", tmp / "m.iq"],
@@ -511,6 +525,49 @@ class TestMalformedInputs:
         assert run(["split", "--dataset", root, "--schedule", "1,x", "--test-sessions", 0]) == 2
         assert "error: --schedule expects comma-separated integers, got '1,x'" in capsys.readouterr().err
         assert not (root / "splits").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--schedule", -1, "--test-sessions", 0], "must take at least one session"),
+        (["--schedule", 1, "--test-sessions", -1], "cannot be negative"),
+    ], ids=["schedule", "test-sessions"])
+    def test_negative_split_counts(self, tmp_path, capsys, flags, message):
+        root = tmp_path / "data"
+        for i in range(2):
+            assert run(["session", "--profile", "galaxy_a3", "--rows", 4, "--cols", 4, "--screens", 1,
+                        "--id", f"g{i}", "--seed", i, "-o", root]) == 0
+        assert run(["split", "--dataset", root, *flags]) == 2
+        assert message in capsys.readouterr().err
+        assert not (root / "splits").exists()
+
+    def test_grid_label_that_is_not_a_digit(self, tmp_path, capsys):
+        root = tmp_path / "data"
+        assert run(["session", "--profile", "galaxy_a3", "--rows", 4, "--cols", 4, "--screens", 1,
+                    "--id", "g0", "-o", root]) == 0
+        assert run(["split", "--dataset", root, "--schedule", 1, "--test-sessions", 0]) == 0
+        manifest = root / "sessions" / "g0" / "manifest.json"
+        record = json.loads(manifest.read_text())
+        record["items"][0]["label"] = "x"
+        manifest.write_text(json.dumps(record))
+        capsys.readouterr()
+        assert run(["train", "--dataset", root, "--split", root / "splits" / "training1.json",
+                    "--epochs", 1, "-o", tmp_path / "m.bin"]) == 2
+        assert f"error: {manifest}: label 'x' is not ASCII digits" in capsys.readouterr().err
+        assert not (tmp_path / "m.bin").exists()
+
+    def test_code_label_that_is_not_digits(self, tmp_path, capsys):
+        root = tmp_path / "data"
+        assert run(["session", "--profile", "galaxy_a3", "--kind", "code", "--codes", 1,
+                    "--id", "c0", "-o", root]) == 0
+        manifest = root / "sessions" / "c0" / "manifest.json"
+        record = json.loads(manifest.read_text())
+        record["items"][0]["label"] = "12a456"
+        manifest.write_text(json.dumps(record))
+        save_model(init_model(CnnSpec((24, 13), 10), seed=0), tmp_path / "m.bin")
+        capsys.readouterr()
+        assert run(["attack", "--model", tmp_path / "m.bin", "--session", manifest.parent,
+                    "-o", tmp_path / "r.json"]) == 2
+        assert f"error: {manifest}: label '12a456' is not ASCII digits" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
     def test_manifest_without_items(self, tmp_path, capsys):
         root = tmp_path / "data"

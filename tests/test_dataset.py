@@ -1,6 +1,7 @@
 import hashlib
 import inspect
 import json
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -292,6 +293,31 @@ class TestTrainingSets:
         sessions = [fake_session(f"s{i}", n_items=4) for i in range(3)]
         with pytest.raises(ValidationError, match="training1: 4 items .* 3 train / 0 val"):
             build_training_sets(sessions, schedule=(1,), n_test=1)
+
+    @pytest.mark.parametrize("schedule, n_test, message", [
+        ((-1,), 2, "at least one session"),
+        ((0,), 2, "at least one session"),
+        ((1, 0), 2, "at least one session"),
+        ((), 2, "at least one session"),
+        ((1,), -1, "cannot be negative"),
+    ])
+    def test_schedule_below_one_or_negative_test_count_rejected(self, schedule, n_test, message):
+        # (-1,) once trained on all pool sessions but the last; n_test = -1 held out none
+        sessions = [fake_session(f"s{i}") for i in range(4)]
+        with pytest.raises(ValidationError, match=message):
+            build_training_sets(sessions, schedule=schedule, n_test=n_test)
+
+    @pytest.mark.parametrize("label", ["x", "12a456", "", "\u0663", 7])
+    def test_label_that_is_not_ascii_digits_names_the_manifest(self, tmp_path, label):
+        sessions = self.make_sessions(tmp_path, 1)
+        manifest = sessions[0].directory / "manifest.json"
+        record = json.loads(manifest.read_text())
+        record["items"][3]["label"] = label
+        manifest.write_text(json.dumps(record))
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(manifest))}: label .* is not ASCII digits"):
+            load_session(sessions[0].directory)
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(manifest))}: label .* is not ASCII digits"):
+            load_items(tmp_path, ["sessions/s0/items/item_000000.pgm"])
 
     def test_load_items_needs_paths(self, tmp_path):
         with pytest.raises(ValidationError, match="no item paths"):

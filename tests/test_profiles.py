@@ -71,7 +71,7 @@ def test_carrier_sits_above_four_pixel_clocks():
         timing = p.timing()
         carrier = p.leakage().carrier_hz(timing)
         assert carrier > 4 * timing.pixel_clock_hz
-        assert carrier == p.harmonic * timing.pixel_clock_hz
+        assert carrier == 5 * timing.pixel_clock_hz
 
 
 def test_recon_height_equals_total_lines():

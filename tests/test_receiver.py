@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from emgleam import receiver
+from emgleam._spectrum import RESOLUTION_HZ, peak_over_median_db, welch_psd
 from emgleam.dataset import simulate
 from emgleam.emanator import ChannelModel, DisplayTiming, IqRecording, capture, emanate
 from emgleam.errors import NoSyncError, ValidationError
@@ -215,7 +216,7 @@ class TestReconstruct:
         raster = random_grid_raster(3)
         rec = lab_capture(raster, fs=25e6)
         emage = reconstruct(rec, lab_params())
-        ref = edge_reference(raster, LAB_TIMING, LAB_LEAK, LAB_TIMING.x_t, LAB_TIMING.y_t)
+        ref = edge_reference(raster, LAB_TIMING, LAB_TIMING.x_t, LAB_TIMING.y_t)
         assert ncc(emage.pixels, ref) >= 0.99
 
     def test_normalization_range(self):
@@ -465,22 +466,22 @@ class TestMeasureSnr:
         rec = lab_capture(random_grid_raster(9), snr_db=25.0, seed=4)
         assert measure_snr(rec) == pytest.approx(25.0, abs=0.5)
 
+    @pytest.mark.parametrize("fs", [25e6, 100e6], ids=["25MS", "100MS"])
+    def test_meter_is_the_calibration_estimator(self, fs):
+        # the whole band at RESOLUTION_HZ, bit for bit, so a reading compares with its request
+        ga = get_profile("galaxy_a3")
+        leak = emanate(blank_screen(ga.visible_w, ga.visible_h), ga.timing(), ga.leakage())
+        rec = capture(leak, ChannelModel(target_snr_db=25.0, rng_seed=6), fs, bandwidth_hz=ga.bandwidth_hz)
+        psd = welch_psd(rec.samples, fs, RESOLUTION_HZ)[1]
+        assert measure_snr(rec) == peak_over_median_db(psd)
+        assert measure_snr(rec) == pytest.approx(25.0, abs=0.5)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_sample_is_validation_error(self, galaxy_capture, bad):
         samples = galaxy_capture.samples.copy()
         samples[100_000] = bad
         with pytest.raises(ValidationError, match="non-finite"):
             measure_snr(replace(galaxy_capture, samples=samples))
-
-    def test_resolution_must_be_below_band(self):
-        rec = lab_capture(random_grid_raster(9))
-        with pytest.raises(ValidationError, match="resolution"):
-            measure_snr(rec, band_hz=10e3, resolution_hz=25e3)
-
-    def test_explicit_band_clipped_with_warning(self):
-        rec = lab_capture(random_grid_raster(9), snr_db=25.0, seed=5)
-        with pytest.warns(UserWarning, match="clipped"):
-            measure_snr(rec, band_hz=10 * LAB_FS)
 
     def test_recon_params_validation(self):
         with pytest.raises(ValidationError):
