@@ -7,10 +7,9 @@ trained with minibatch Adam on softmax cross-entropy.  Forward, backward
 and the optimizer are implemented here directly; a finite-difference
 gradient check validates the backward pass.
 
-Between the input check and the flatten, activations are channel-major
-(C, N, H, W) maps, so each convolution's matrix product is its output
-without a transposed copy.  A training step computes only gradients that
-are read: the first convolution's backward stops at its weights and bias,
+Between the input check and the flatten, activations are batch-innermost
+(C, H, W, N) maps, so no convolution makes a transposed copy, forward or
+backward.  A training step computes only gradients that are read: the first convolution's backward stops at its weights and bias,
 since nothing reads the gradient of the input crops.  Inference
 (``CnnModel.logits``) runs each layer's ``infer``, the same arithmetic as
 ``forward`` without the records only backward reads: no patch matrix, ReLU
@@ -44,8 +43,8 @@ _BETA2 = 0.999
 _EPS = 1e-8
 #: crops per forward pass at inference; bounds the conv workspace to that of
 #: a training step at the default batch size, so scoring a set never needs
-#: more memory than training on it (the logits are the same bits at any
-#: chunk size)
+#: more memory than training on it.  Logit bits hold per chunking only: a
+#: GEMM's edge columns round their own way (~1e-6 moves across batches)
 INFER_BATCH = 256
 # the backward records a training step leaves on its layers, dropped when
 # ``train`` returns: _Conv's patch matrix, _Relu's mask, _MaxPool2's
@@ -105,20 +104,20 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 class _Conv:
-    """Valid kxk convolution as an im2col matrix product on (C, N, H, W) maps.
+    """Valid kxk convolution as an im2col matrix product on (C, H, W, N) maps.
 
-    The (C*k*k, N*OH*OW) patch matrix (rows in (c, u, v) order, columns in
-    (n, y, x) order) is one copy of a strided window view of the input; it
-    serves the weight gradient too.  With channel-major maps the (F,
-    N*OH*OW) product is the output as it stands, and backward reads the
+    The (C*k*k, OH*OW*N) patch matrix (rows in (c, u, v) order, columns in
+    (y, x, n) order) is one copy of a strided window view of the input in
+    runs of OW*N values; it serves the weight gradient too.  The (F,
+    OH*OW*N) product is the output as it stands, and backward reads the
     output gradient as that matrix again.  ``param_grads`` stops at the
-    weight and bias gradients: the first layer's input is the crop, whose
-    gradient nothing reads.  ``backward`` goes on to the input gradient: it
-    multiplies by the output gradient ordered (F, OH, OW, N) and scatters
-    the column gradient back with one k*k loop into a (C, H, W, N) buffer,
-    so the adds run over long contiguous rows and each input element sums
-    its (u, v) terms in row-major order: another order changes the float32
-    sums and the trained model bytes.
+    weight and bias gradients, reduced over the columns in (y, x, n) order:
+    the first layer's input is the crop, whose gradient nothing reads.
+    ``backward`` goes on to the input gradient: it scatters the column
+    gradient back with one k*k loop into the (C, H, W, N) buffer it
+    returns, so the adds run over long contiguous rows and each input
+    element sums its (u, v) terms in row-major order: another order
+    changes the float32 sums and the trained model bytes.
     """
 
     def __init__(self, c_in: int, c_out: int, k: int, dtype):
@@ -132,14 +131,14 @@ class _Conv:
 
     def _apply(self, x):
         """The output and the patch matrix it was computed from."""
-        c, n, h, w = x.shape
+        c, h, w, n = x.shape
         k = self.k
         oh, ow = h - k + 1, w - k + 1
-        windows = sliding_window_view(x, (k, k), axis=(2, 3))  # (C, N, OH, OW, k, k)
-        cols = windows.transpose(0, 4, 5, 1, 2, 3).reshape(c * k * k, n * oh * ow)
-        out = self.w.reshape(self.w.shape[0], -1) @ cols  # (F, N*OH*OW)
+        windows = sliding_window_view(x, (k, k), axis=(1, 2))  # (C, OH, OW, N, k, k)
+        cols = windows.transpose(0, 4, 5, 1, 2, 3).reshape(c * k * k, oh * ow * n)
+        out = self.w.reshape(self.w.shape[0], -1) @ cols  # (F, OH*OW*N)
         out += self.b[:, None]
-        return out.reshape(-1, n, oh, ow), cols
+        return out.reshape(-1, oh, ow, n), cols
 
     def infer(self, x):
         return self._apply(x)[0]
@@ -157,21 +156,18 @@ class _Conv:
 
     def backward(self, g):
         self.param_grads(g)
-        f, n, oh, ow = g.shape
-        c, _, h, w = self._x_shape
-        k = self.k
-        gt = g.transpose(0, 2, 3, 1).reshape(f, -1)  # (F, OH*OW*N)
-        dcols = (self.w.reshape(f, -1).T @ gt).reshape(c, k, k, oh, ow, n)
-        dx = np.zeros((c, h, w, n), dtype=g.dtype)
+        f, oh, ow, n = g.shape
+        c, k = self._x_shape[0], self.k
+        dcols = (self.w.reshape(f, -1).T @ g.reshape(f, -1)).reshape(c, k, k, oh, ow, n)
+        dx = np.zeros(self._x_shape, dtype=g.dtype)
         for u in range(k):
             for v in range(k):
                 dx[:, u : u + oh, v : v + ow] += dcols[:, u, v]
-        # one copy to (C, N, H, W): pooling's backward reads the map in that order
-        return np.ascontiguousarray(dx.transpose(0, 3, 1, 2))
+        return dx
 
 
 class _MaxPool2:
-    """2x2 max pooling, stride 2, on (C, N, H, W) maps; an odd last row or
+    """2x2 max pooling, stride 2, on (C, H, W, N) maps; an odd last row or
     column is dropped.
 
     The output is the elementwise maximum of the four quadrant views of the
@@ -186,10 +182,10 @@ class _MaxPool2:
 
     @staticmethod
     def _quadrants(a, h2, w2):
-        return [a[:, :, i : 2 * h2 : 2, j : 2 * w2 : 2] for i in (0, 1) for j in (0, 1)]
+        return [a[:, i : 2 * h2 : 2, j : 2 * w2 : 2] for i in (0, 1) for j in (0, 1)]
 
     def infer(self, x):
-        q0, q1, q2, q3 = self._quadrants(x, x.shape[2] // 2, x.shape[3] // 2)
+        q0, q1, q2, q3 = self._quadrants(x, x.shape[1] // 2, x.shape[2] // 2)
         out = np.maximum(q0, q1)
         np.maximum(out, q2, out=out)
         return np.maximum(out, q3, out=out)
@@ -197,7 +193,7 @@ class _MaxPool2:
     def forward(self, x):
         self._in_shape = x.shape
         out = self.infer(x)
-        q0, q1, q2, _ = self._quadrants(x, x.shape[2] // 2, x.shape[3] // 2)
+        q0, q1, q2, _ = self._quadrants(x, x.shape[1] // 2, x.shape[2] // 2)
         # the first maximum's index counts the quadrants before it that miss
         miss = q0 != out
         self._first = miss.astype(np.uint8)
@@ -209,7 +205,7 @@ class _MaxPool2:
     def backward(self, g):
         gx = np.zeros(self._in_shape, dtype=g.dtype)
         bits = np.dtype(f"u{g.itemsize}")  # integer multiply by 0/1 keeps -0.0 and +0.0 apart
-        for idx, quad in enumerate(self._quadrants(gx, *g.shape[2:])):
+        for idx, quad in enumerate(self._quadrants(gx, *g.shape[1:3])):
             np.multiply(g.view(bits), self._first == idx, out=quad.view(bits))
         return gx
 
@@ -224,29 +220,28 @@ class _Relu:
 
     def forward(self, x):
         self._mask = x > 0
-        return x * self._mask
+        return np.multiply(x, self._mask, out=x)
 
     def backward(self, g):
-        return g * self._mask
+        return np.multiply(g, self._mask, out=g)  # g too: pooling's or a dense layer's
 
 
 class _Flatten:
-    """(C, N, h, w) maps to (N, C*h*w) rows, each in (c, y, x) order."""
+    """(C, h, w, N) maps to contiguous (N, C*h*w) rows in (c, y, x) order."""
 
     params = property(lambda self: [])
     grads = property(lambda self: [])
 
     @staticmethod
     def infer(x):
-        return x.transpose(1, 0, 2, 3).reshape(x.shape[1], -1)
+        return np.ascontiguousarray(x.reshape(-1, x.shape[3]).T)
 
     def forward(self, x):
         self._shape = x.shape
         return self.infer(x)
 
     def backward(self, g):
-        c, n, h, w = self._shape
-        return g.reshape(n, c, h, w).transpose(1, 0, 2, 3)
+        return g.T.reshape(self._shape)
 
 
 class _Dense:
@@ -298,14 +293,14 @@ class CnnModel:
         self.n_params = sum(p.size for lay in self.layers for p in lay.params)
 
     def _check_input(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=self.dtype)
+        x = np.asarray(x)
         if x.ndim == 2:
             x = x[None]
         if x.ndim != 3 or x.shape[1:] != tuple(self.spec.input_hw):
             raise ValidationError(f"batch shape {x.shape} does not match input {self.spec.input_hw}")
         if not len(x):
             raise ValidationError("empty batch")
-        return x[None]  # single luminance channel, channel-major: (1, N, H, W)
+        return np.ascontiguousarray(x.transpose(1, 2, 0), dtype=self.dtype)[None]  # (1, H, W, N)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         out = self._check_input(x)
@@ -352,7 +347,8 @@ class CnnModel:
 
     def logits(self, x: np.ndarray) -> np.ndarray:
         """``forward``'s logits, INFER_BATCH crops at a time, through the
-        layers' record-free ``infer``: the same bits at any chunk size."""
+        layers' record-free ``infer``: the bits of ``forward`` on each chunk,
+        not of one pass over the whole batch."""
         x = np.asarray(x)
         x = x[None] if x.ndim == 2 else x
         # at least one chunk, so that an empty batch meets the input check

@@ -344,4 +344,6 @@ def measure_snr(recording: IqRecording) -> float:
     the estimator that sets a capture's requested SNR."""
     if len(recording.samples) == 0:
         raise ValidationError("empty recording")
+    if not np.isfinite(recording.samples).all():  # checked before the Welch multiplies inf by 0
+        raise ValidationError("non-finite spectrum: the recording holds non-finite samples")
     return peak_over_median_db(welch_psd(recording.samples, recording.sample_rate_hz, RESOLUTION_HZ)[1])

@@ -28,26 +28,47 @@ SMALL = CnnSpec((20, 16), 4, conv_channels=(2, 3), fc_sizes=(8, 6))
 
 
 def channel_major(a):
-    """(N, C, H, W) <-> (C, N, H, W)."""
-    return a.transpose(1, 0, 2, 3)
+    """(N, C, H, W) -> (C, H, W, N), the layers' layout."""
+    return a.transpose(1, 2, 3, 0)
+
+
+def batch_major(a):
+    """(C, H, W, N) -> (N, C, H, W)."""
+    return a.transpose(3, 0, 1, 2)
 
 
 # Reference layers in the batch-major (N, C, H, W) layout, with the patch
 # matrix, col2im order and pooling of the layers the classifier had before
-# channel-major maps: the rewritten layers must give the same bits.
+# batch-innermost maps: the rewritten layers must give the same bits.
 
-def ref_conv_forward(x, w, b):
+def yxn_columns(m, n, oh, ow):
+    """An (R, N*OH*OW) matrix with its columns reordered (n, y, x) -> (y, x, n)."""
+    return np.ascontiguousarray(m.reshape(-1, n, oh, ow).transpose(0, 2, 3, 1)).reshape(len(m), -1)
+
+
+def ref_conv_forward(x, w, b, yxn=False):
+    """(out, cols), cols in (n, y, x) order.  With ``yxn`` the product runs
+    over the columns in the layers' (y, x, n) order: BLAS can round a
+    GEMM's columns past the last multiple of its kernel width on another
+    path, so an element's last bits depend on its column, and only the
+    layers' order gives their bits at every batch size."""
     n, c, h, wd = x.shape
     f, _, k, _ = w.shape
     oh, ow = h - k + 1, wd - k + 1
     cols = sliding_window_view(x, (k, k), axis=(2, 3)).transpose(1, 4, 5, 0, 2, 3).reshape(c * k * k, -1)
-    out = w.reshape(f, -1) @ cols
-    out += b[:, None]
-    return np.ascontiguousarray(out.reshape(f, n, oh, ow).transpose(1, 0, 2, 3)), cols
+    if yxn:
+        out = (w.reshape(f, -1) @ yxn_columns(cols, n, oh, ow)).reshape(f, oh, ow, n).transpose(0, 3, 1, 2)
+    else:
+        out = (w.reshape(f, -1) @ cols).reshape(f, n, oh, ow)
+    out += b[:, None, None, None]
+    return np.ascontiguousarray(out.transpose(1, 0, 2, 3)), cols
 
 
 def ref_conv_backward(g, w, cols, x_shape):
-    """(gw, gb, dx), dx scattered with one k*k loop over an (N, C, H, W) buffer."""
+    """(gw, gb, dx), dx scattered with one k*k loop over an (N, C, H, W) buffer.
+
+    The weight and bias gradients reduce over the columns in (y, x, n)
+    order, the order of the layers' patch matrix."""
     n, f, oh, ow = g.shape
     k = w.shape[-1]
     gm = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(f, -1)
@@ -57,7 +78,8 @@ def ref_conv_backward(g, w, cols, x_shape):
     for u in range(k):
         for v in range(k):
             dx_c[:, :, u : u + oh, v : v + ow] += dcols[:, u, v]
-    return (gm @ cols.T).reshape(w.shape), gm.sum(axis=1), dx
+    gm_yxn = yxn_columns(gm, n, oh, ow)
+    return (gm_yxn @ yxn_columns(cols, n, oh, ow).T).reshape(w.shape), gm_yxn.sum(axis=1), dx
 
 
 def ref_quadrants(a, h2, w2):
@@ -84,10 +106,10 @@ def ref_loss_and_grads(model, x, y):
     dense = dense[::2]
     n = len(x)
     a0 = np.asarray(x, dtype=model.dtype)[:, None]
-    z1, cols1 = ref_conv_forward(a0, conv1.w, conv1.b)
+    z1, cols1 = ref_conv_forward(a0, conv1.w, conv1.b, yxn=True)
     r1 = z1 * (z1 > 0)
     p1, arg1 = ref_pool_forward(r1)
-    z2, cols2 = ref_conv_forward(p1, conv2.w, conv2.b)
+    z2, cols2 = ref_conv_forward(p1, conv2.w, conv2.b, yxn=True)
     r2 = z2 * (z2 > 0)
     p2, arg2 = ref_pool_forward(r2)
     acts = [p2.reshape(n, -1)]
@@ -193,12 +215,12 @@ class TestForward:
         single = model.forward(batch[17])
         assert np.max(np.abs(full[17] - single[0])) < 1e-6
 
-    def test_inference_runs_in_chunks_of_512(self):
-        # softmax and predict_batch equal per-512 forward passes, bit for bit
+    def test_inference_runs_in_chunks_of_infer_batch(self):
+        # softmax and predict_batch equal per-INFER_BATCH forward passes, bit for bit
         model = init_model(CnnSpec((31, 21), 10), seed=4)
         x = np.random.default_rng(5).random((1100, 31, 21), dtype=np.float32)
-        probs = np.exp(log_softmax(np.concatenate([model.forward(x[i : i + 512])
-                                                   for i in range(0, 1100, 512)])))
+        probs = np.exp(log_softmax(np.concatenate([model.forward(x[i : i + INFER_BATCH])
+                                                   for i in range(0, 1100, INFER_BATCH)])))
         assert np.array_equal(model.softmax(x), probs)
         labels, again = model.predict_batch(x)
         assert np.array_equal(again, probs)
@@ -220,6 +242,21 @@ class TestForward:
         assert np.array_equal(model.softmax(x), np.exp(log_softmax(want)))
         loss = float(-log_softmax(want)[np.arange(n), y].sum()) / n
         assert evaluate(model, x, y) == (loss, int((want.argmax(axis=1) == y).sum()) / n)
+
+    @pytest.mark.parametrize("spec", [CnnSpec((31, 21), 10), CnnSpec((32, 32), 12, conv_channels=(12, 32),
+                                                                     fc_sizes=(240, 120))],
+                             ids=["digit", "letter"])
+    def test_code_batch_reads_as_inside_a_full_chunk(self, spec):
+        # six crops (a read_code batch) alone and at either end of a full
+        # chunk: the GEMMs' edge columns move the logits' last bits, never
+        # the argmax
+        model = init_model(spec, seed=8)
+        x = np.random.default_rng(9).random((INFER_BATCH, *spec.input_hw), dtype=np.float32)
+        chunk = model.logits(x)
+        for inside, crops in ((chunk[:6], x[:6]), (chunk[-6:], x[-6:])):
+            alone = model.logits(crops)
+            assert np.array_equal(alone.argmax(axis=1), inside.argmax(axis=1))
+            np.testing.assert_allclose(alone, inside, rtol=0, atol=1e-5)
 
     def test_single_image_softmax(self):
         model = init_model(SMALL, seed=2)
@@ -289,11 +326,11 @@ class TestLayers:
         x = np.array([[0.0, -0.0, 1.0, 3.0],
                       [-0.0, 0.0, 3.0, 2.0],
                       [0.5, 0.2, 4.0, 7.0],
-                      [0.1, 0.9, 7.0, 7.0]])[None, None]
+                      [0.1, 0.9, 7.0, 7.0]])[None, :, :, None]
         pool = _MaxPool2()
-        assert np.array_equal(pool.forward(x)[0, 0], [[0.0, 3.0], [0.9, 7.0]])
-        g = -np.array([[1.0, 2.0], [3.0, 4.0]])[None, None]
-        gx = pool.backward(g)[0, 0]
+        assert np.array_equal(pool.forward(x)[0, :, :, 0], [[0.0, 3.0], [0.9, 7.0]])
+        g = -np.array([[1.0, 2.0], [3.0, 4.0]])[None, :, :, None]
+        gx = pool.backward(g)[0, :, :, 0]
         expected = -np.array([[1.0, 0.0, 0.0, 2.0],
                               [0.0, 0.0, 0.0, 0.0],
                               [0.0, 0.0, 0.0, 4.0],
@@ -305,16 +342,16 @@ class TestLayers:
     def test_pool_drops_odd_last_row_and_column(self):
         # the digit spec's first pool: 27x17 -> 13x8
         rng = np.random.default_rng(1)
-        x = rng.standard_normal((2, 3, 27, 17))
+        x = rng.standard_normal((3, 27, 17, 2))
         pool = _MaxPool2()
         out = pool.forward(x)
-        blocks = x[:, :, :26, :16].reshape(2, 3, 13, 2, 8, 2)
-        assert np.array_equal(out, blocks.max(axis=(3, 5)))
+        blocks = x[:, :26, :16].reshape(3, 13, 2, 8, 2, 2)
+        assert np.array_equal(out, blocks.max(axis=(2, 4)))
         g = rng.uniform(0.5, 1.5, out.shape)
         gx = pool.backward(g)
         assert gx.shape == x.shape
-        assert np.array_equal(gx[:, :, 26, :], np.zeros((2, 3, 17)))
-        assert np.array_equal(gx[:, :, :, 16], np.zeros((2, 3, 27)))
+        assert np.array_equal(gx[:, 26], np.zeros((3, 17, 2)))
+        assert np.array_equal(gx[:, :, 16], np.zeros((3, 27, 2)))
         # every output gradient lands on exactly one input, at its maximum
         assert np.count_nonzero(gx) == g.size
         assert np.array_equal(np.sort(gx[gx != 0]), np.sort(g.ravel()))
@@ -330,8 +367,8 @@ class TestLayers:
         x = rng.standard_normal((n, c, h, w))
         g = rng.standard_normal((n, f, h - k + 1, w - k + 1))
 
-        out = channel_major(conv.forward(channel_major(x)))
-        dx = channel_major(conv.backward(channel_major(g)))
+        out = batch_major(conv.forward(channel_major(x)))
+        dx = batch_major(conv.backward(channel_major(g)))
         ref_out = np.stack([
             [sum(sp_signal.correlate(x[i, ci], conv.w[fi, ci], mode="valid") for ci in range(c)) + conv.b[fi]
              for fi in range(f)]
@@ -363,10 +400,10 @@ class TestLayers:
         ref_gw, ref_gb, ref_dx = ref_conv_backward(g, conv.w, cols, x.shape)
 
         out = conv.forward(np.ascontiguousarray(channel_major(x)))
-        assert out.dtype == np.float32 and np.array_equal(channel_major(out), ref_out)
+        assert out.dtype == np.float32 and np.array_equal(batch_major(out), ref_out)
         dx = conv.backward(np.ascontiguousarray(channel_major(g)))
         assert np.array_equal(conv.gw, ref_gw) and np.array_equal(conv.gb, ref_gb)
-        assert np.array_equal(channel_major(dx), ref_dx)
+        assert np.array_equal(batch_major(dx), ref_dx)
         conv.param_grads(np.ascontiguousarray(channel_major(g)))
         assert np.array_equal(conv.gw, ref_gw) and np.array_equal(conv.gb, ref_gb)
 
@@ -381,15 +418,17 @@ class TestLayers:
         g = rng.integers(-2, 3, (shape[0], shape[1], shape[2] // 2, shape[3] // 2)).astype(np.float32)
         g[rng.random(g.shape) < 0.3] = -0.0
         ref_out, arg = ref_pool_forward(x)
+        ref_gx = channel_major(ref_pool_backward(g, arg, x.shape)).tobytes()
         pool = _MaxPool2()
-        out = pool.forward(x)
-        assert out.tobytes() == ref_out.tobytes()
-        assert np.array_equal(pool._first, arg)
-        gx = pool.backward(g)
-        assert gx.tobytes() == ref_pool_backward(g, arg, x.shape).tobytes()
-        # the same routing from a gradient in the layout conv2's backward returns
-        gx = pool.backward(np.ascontiguousarray(g.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2))
-        assert gx.tobytes() == ref_pool_backward(g, arg, x.shape).tobytes()
+        out = pool.forward(np.ascontiguousarray(channel_major(x)))
+        assert out.tobytes() == channel_major(ref_out).tobytes()
+        assert np.array_equal(pool._first, channel_major(arg))
+        # a contiguous gradient, as conv2's backward returns it to the first pool
+        gx = pool.backward(np.ascontiguousarray(channel_major(g)))
+        assert gx.tobytes() == ref_gx
+        # the same routing from the strided view the flatten's backward returns
+        gx = pool.backward(channel_major(g))
+        assert gx.tobytes() == ref_gx
 
     @pytest.mark.parametrize("spec", [
         CnnSpec((31, 21), 10),

@@ -195,6 +195,7 @@ class TestPipeline:
         assert value == pytest.approx(25.9, abs=0.5)
         assert (pipeline / "m.iq.snr.json").exists()
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command", ["reconstruct", "snr"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_sample_exits_2(self, pipeline, tmp_path, capsys, command, bad):

@@ -476,6 +476,7 @@ class TestMeasureSnr:
         assert measure_snr(rec) == peak_over_median_db(psd)
         assert measure_snr(rec) == pytest.approx(25.0, abs=0.5)
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_sample_is_validation_error(self, galaxy_capture, bad):
         samples = galaxy_capture.samples.copy()
