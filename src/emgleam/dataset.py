@@ -458,17 +458,19 @@ def load_items(root, paths: list[str]) -> tuple[np.ndarray, np.ndarray, list[str
     root = Path(root)
     images = []
     raw = []
-    tables: dict[str, dict[str, str]] = {}  # session id -> item path -> label, read once per call
+    # session id -> (manifest path, item path -> label), read once per call
+    tables: dict[str, tuple[Path, dict[str, str]]] = {}
     for rel in paths:
         parts = Path(rel).parts  # sessions/<id>/items/<file>
         if len(parts) < 4 or parts[0] != "sessions":
             raise ValidationError(f"item path {rel!r} is not dataset-relative")
         images.append(read_pgm(root / rel))
-        manifest = root / parts[0] / parts[1] / "manifest.json"
         if parts[1] not in tables:
+            manifest = root / parts[0] / parts[1] / "manifest.json"
             with read_record(manifest) as m:
-                tables[parts[1]] = {d["path"]: _label(d, manifest) for d in m["items"]}
-        label = tables[parts[1]].get("/".join(parts[2:]))
+                tables[parts[1]] = manifest, {d["path"]: _label(d, manifest) for d in m["items"]}
+        manifest, table = tables[parts[1]]
+        label = table.get("/".join(parts[2:]))
         if label is None:
             raise ValidationError(f"{root / rel}: not an item listed in {manifest}")
         raw.append(label)

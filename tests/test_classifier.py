@@ -64,6 +64,18 @@ def ref_conv_forward(x, w, b, yxn=False):
     return np.ascontiguousarray(out.transpose(1, 0, 2, 3)), cols
 
 
+def ref_conv_apply(x, w, b):
+    """(out, cols) of a (C, H, W, N) map as one product over the whole
+    (y, x, n)-ordered patch matrix, plus the bias: the bits the layer's
+    row-block products must give."""
+    c, h, wd, n = x.shape
+    f, _, k, _ = w.shape
+    cols = sliding_window_view(x, (k, k), axis=(1, 2)).transpose(0, 4, 5, 1, 2, 3).reshape(c * k * k, -1)
+    out = w.reshape(f, -1) @ cols
+    out += b[:, None]
+    return out.reshape(f, h - k + 1, wd - k + 1, n), cols
+
+
 def ref_conv_backward(g, w, cols, x_shape):
     """(gw, gb, dx), dx scattered with one k*k loop over an (N, C, H, W) buffer.
 
@@ -101,7 +113,8 @@ def ref_pool_backward(g, arg, x_shape):
 
 def ref_loss_and_grads(model, x, y):
     """Loss, flat gradients and logits through the reference layers, with
-    the first conv's input gradient computed too."""
+    the first conv's input gradient computed too, and ReLU before pooling
+    where the model pools before ReLU."""
     conv1, _, _, conv2, _, _, _, *dense = model.layers
     dense = dense[::2]
     n = len(x)
@@ -134,6 +147,35 @@ def ref_loss_and_grads(model, x, y):
     gw1, gb1, _ = ref_conv_backward(g, conv1.w, cols1, a0.shape)
     grads = np.concatenate([a.ravel() for a in [gw1, gb1, gw2, gb2, *dense_grads]])
     return loss, grads, logits
+
+
+def ref_train(model, train_set, val_set, config):
+    """``train``'s flat parameters, from its loop with Adam written as
+    allocating expressions."""
+    (x, y), (xv, yv) = train_set, val_set
+    rng = np.random.default_rng(config.seed)
+    params = model.flat_params().astype(np.float64)
+    m = np.zeros_like(params)
+    v = np.zeros_like(params)
+    t = 0
+    best_key, best = (-1.0, -np.inf), params.copy()
+    for _ in range(config.epochs):
+        order = rng.permutation(len(x))
+        for i in range(0, len(order), config.batch_size):
+            batch = order[i : i + config.batch_size]
+            _, grads, _ = model.loss_and_grads(x[batch], y[batch])
+            t += 1
+            g = grads.astype(np.float64)
+            m = 0.9 * m + (1 - 0.9) * g
+            v = 0.999 * v + (1 - 0.999) * g * g
+            m_hat = m / (1 - 0.9**t)
+            v_hat = v / (1 - 0.999**t)
+            params -= config.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+            model.set_flat_params(params)
+        val_loss, val_acc = evaluate(model, xv, yv)
+        if (val_acc, -val_loss) > best_key:
+            best_key, best = (val_acc, -val_loss), params.copy()
+    return best.astype(model.dtype)
 
 
 def blobs(n=150, seed=0):
@@ -407,6 +449,28 @@ class TestLayers:
         conv.param_grads(np.ascontiguousarray(channel_major(g)))
         assert np.array_equal(conv.gw, ref_gw) and np.array_equal(conv.gb, ref_gb)
 
+    @pytest.mark.parametrize("n", [1, 6, 22, 37, 64, 157, 160, 256])
+    @pytest.mark.parametrize("c, f, k, hw", [
+        (1, 6, 5, (31, 21)), (6, 16, 5, (13, 8)),
+        (1, 12, 5, (32, 32)), (12, 32, 5, (14, 14)),
+        (1, 6, 3, (24, 13)), (6, 16, 3, (11, 5)),
+    ], ids=["digit1", "digit2", "letter1", "letter2", "kernel3-1", "kernel3-2"])
+    def test_row_blocks_give_one_product_bits(self, c, f, k, hw, n):
+        # the patch copy and product run in blocks of output rows, split
+        # only at multiples of 16 columns: the bits of one product over the
+        # whole patch matrix, at batch sizes whose OW*N is and is not a
+        # multiple of 16 (row blocks of 3x3 conv2's 471 columns at batch
+        # 157 would move bits)
+        rng = np.random.default_rng(n)
+        conv = _Conv(c, f, k, np.float32)
+        conv.w[...] = rng.uniform(-0.3, 0.3, conv.w.shape)
+        conv.b[...] = rng.uniform(-0.1, 0.1, f)
+        x = rng.random((c, *hw, n), dtype=np.float32)
+        out, cols = conv._apply(x)
+        ref_out, ref_cols = ref_conv_apply(x, conv.w, conv.b)
+        assert out.dtype == np.float32 and np.array_equal(out, ref_out)
+        assert np.array_equal(cols, ref_cols)
+
     @pytest.mark.parametrize("shape", [(6, 9, 27, 17), (4, 5, 8, 6)])
     def test_pool_matches_stack_argmax_reference(self, shape):
         # ReLU-like maps drawn from a few levels, so most blocks hold ties,
@@ -436,6 +500,10 @@ class TestLayers:
         SMALL,
     ])
     def test_loss_and_grads_match_reference_backward(self, spec):
+        """The model pools before its ReLU, the reference after: max and
+        ReLU commute, so the logits and gradients are equal; only the sign
+        of an exact zero may move, which ``array_equal`` does not see and
+        which adds nothing to any nonzero sum."""
         model = init_model(spec, seed=3)
         rng = np.random.default_rng(4)
         x = rng.random((45, *spec.input_hw), dtype=np.float32)
@@ -478,6 +546,30 @@ class TestTrain:
         records = ("_cols", "_mask", "_first", "_x")  # conv, ReLU, pooling, dense
         assert not [(type(lay).__name__, r) for lay in result.model.layers for r in records
                     if hasattr(lay, r)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_in_place_adam_gives_the_allocating_bits(self, dtype):
+        # a float64 model holds Adam's float64 parameters unrounded, so an
+        # update that rounds one value differently shows in its bits
+        x, y = blobs()
+        spec = CnnSpec((20, 16), 2, conv_channels=(2, 3), fc_sizes=(8, 6))
+        config = TrainConfig(epochs=3, batch_size=64, seed=0)
+        sets = (x[:200], y[:200]), (x[200:], y[200:])
+        model = init_model(spec, seed=0, dtype=dtype)
+        train(model, *sets, config)
+        want = ref_train(init_model(spec, seed=0, dtype=dtype), *sets, config)
+        assert np.array_equal(model.flat_params(), want)
+
+    @pytest.mark.parametrize("n_x, n_y, n_val_y, message", [
+        (20, 50, 50, "training set: 20 images but 50 labels"),  # used to train silently
+        (50, 20, 50, "training set: 50 images but 20 labels"),  # used to end in an IndexError
+        (50, 50, 10, "validation set: 50 images but 10 labels"),  # a broadcast ValueError
+    ], ids=["more-labels", "fewer-labels", "validation-labels"])
+    def test_image_and_label_counts_must_match(self, n_x, n_y, n_val_y, message):
+        x, y = blobs(25)
+        model = init_model(SMALL, seed=0)
+        with pytest.raises(ValidationError, match=message):
+            train(model, (x[:n_x], y[:n_y] % 4), (x, y[:n_val_y] % 4), TrainConfig(epochs=1))
 
     def test_training_determinism(self):
         x, y = blobs(50, seed=6)
@@ -604,6 +696,12 @@ class TestSerialization:
         path.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(ValidationError, match="not a model file"):
             load_model(path)
+
+    def test_evaluate_rejects_unequal_counts(self):
+        # one label for 50 crops used to broadcast to an accuracy of 50.0
+        model = init_model(SMALL, seed=0)
+        with pytest.raises(ValidationError, match="50 images but 1 labels"):
+            evaluate(model, np.zeros((50, 20, 16), dtype=np.float32), np.zeros(1, dtype=int))
 
     def test_accuracy_helper(self):
         model = init_model(SMALL, seed=0)
