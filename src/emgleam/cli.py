@@ -167,15 +167,9 @@ def _cmd_emanate(args) -> int:
 
 def _cmd_reconstruct(args) -> int:
     recording = IqRecording.load(args.recording)
-    if args.profile:
-        profile = get_profile(args.profile)
-        width = _given(args.width, profile.recon_w)
-        height = _given(args.height, profile.recon_h)
-    else:
-        width = _given(args.width, recording.timing.x_t)
-        height = _given(args.height, recording.timing.y_t)
+    width = _given(args.width, get_profile(args.profile).recon_w if args.profile else recording.timing.x_t)
     f_r = _given(args.frame_rate, recording.timing.f_r)
-    params = ReconParams(width, height, f_r)
+    params = ReconParams(width, f_r)
     emage = reconstruct(recording, params)
     emage.save(args.output)
     _echo_config(args.output, "reconstruct", args, {"params": asdict(params)})
@@ -372,7 +366,6 @@ def build_parser() -> _Parser:
     p.add_argument("recording")
     p.add_argument("--profile")
     p.add_argument("--width", type=int)
-    p.add_argument("--height", type=int)
     p.add_argument("--frame-rate", type=float)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_reconstruct)

@@ -177,6 +177,8 @@ def load_session(directory) -> Session:
 
 def grid_crop(emage: Emage, rows: int, cols: int, cell_w: int, cell_h: int) -> list[Emage]:
     """Row-major rows x cols crops of cell_w x cell_h from the emage origin."""
+    if rows < 1 or cols < 1:
+        raise ValidationError(f"crop grid {rows}x{cols}: rows and cols must be >= 1")
     if rows * cell_h > emage.height_px or cols * cell_w > emage.width_px:
         raise ValidationError(
             f"{rows}x{cols} cells of {cell_w}x{cell_h} overflow emage "

@@ -16,8 +16,8 @@ from .errors import ValidationError
 def write_pgm(path, image01: np.ndarray) -> None:
     """Write a 2-D array of values in [0, 1] as an 8-bit binary PGM."""
     img = np.asarray(image01)
-    if img.ndim != 2:
-        raise ValidationError(f"PGM image must be 2-D, got shape {img.shape}")
+    if img.ndim != 2 or not img.size:  # read_pgm refuses a zero width or height
+        raise ValidationError(f"PGM image must be 2-D and non-empty, got shape {img.shape}")
     if not np.isfinite(img).all():
         raise ValidationError("PGM image holds NaN or inf values")
     data = np.rint(np.clip(img, 0.0, 1.0) * 255.0).astype(np.uint8)

@@ -1,10 +1,10 @@
 """Built-in phone profiles: screen timing, leak placement and channel defaults.
 
-Geometry notes.  The reconstruction grid height always equals the total
-line count y_t (one reconstructed row per scan line; any other height
-shears the image).  The grid width is chosen per profile so that the
-horizontal resample ratio recon_w / x_t is an exact small rational and the
-standard 40x40 profiling grid lands on whole reconstructed pixels:
+Geometry notes.  The reconstruction grid height is the total line count
+y_t, one row per scan line: reconstruct reads it from the recording.  The
+grid width is chosen per profile so that the horizontal resample ratio
+recon_w / x_t is an exact small rational and the standard 40x40 profiling
+grid lands on whole reconstructed pixels:
 
 * iphone6s:  cell 18x31 on screen -> 21x31 in the emage (ratio 7/6)
 * iphone6a/b: cell 18x31 -> 20x31 (ratio 10/9)
@@ -83,9 +83,7 @@ class PhoneProfile:
         return LeakageModel()
 
     def recon_params(self, **overrides) -> ReconParams:
-        kw = dict(width_px=self.recon_w, height_px=self.recon_h, f_r_hz=self.f_r)
-        kw.update(overrides)
-        return ReconParams(**kw)
+        return ReconParams(**dict(width_px=self.recon_w, f_r_hz=self.f_r) | overrides)
 
 
 PROFILES: dict[str, PhoneProfile] = {

@@ -2,14 +2,14 @@
 
 The receiver mirrors the usual SDR screen-reader loop: AM envelope
 detection, refresh-rate estimation by normalized autocorrelation around a
-hint, fractional resampling of each frame onto a width x height pixel
-grid, frame averaging, and min-max normalization.  Interactive alignment
-sliders are replaced by a deterministic rule: the frame start is the row
-rotation that puts the vertical-blanking dark band just above row 0.  Each
-row is scored by how strongly it carries the line-start and line-end edges
-that every visible line shares; the band is the window of as many rows as
-the recording's timing has blanking lines (scaled to the grid height)
-whose scores sum lowest.
+hint, fractional resampling of each frame onto a pixel grid of one row
+per scan line, frame averaging, and min-max normalization.  Interactive
+alignment sliders are replaced by a deterministic rule: the frame start is
+the row rotation that puts the vertical-blanking dark band just above row
+0.  Each row is scored by how strongly it carries the line-start and
+line-end edges that every visible line shares; the band is the window of
+as many rows as the recording's timing has blanking lines whose scores sum
+lowest.
 """
 
 from __future__ import annotations
@@ -49,18 +49,17 @@ _SYNC_BLOCK = 8_192
 
 @dataclass(frozen=True)
 class ReconParams:
-    """Reconstruction grid and frame rate.
+    """Reconstruction grid width and frame rate.
 
-    height_px should equal the source timing's total line count for an
-    unsheared image (each reconstructed row then spans exactly one line).
+    The grid height is not a parameter: it is the recording's total line
+    count, so each reconstructed row spans exactly one scan line.
     """
 
     width_px: int
-    height_px: int
     f_r_hz: float
 
     def __post_init__(self):
-        if self.width_px <= 0 or self.height_px <= 0:
+        if self.width_px <= 0:
             raise ValidationError("reconstruction grid must be positive")
         if not self.f_r_hz > 0:
             raise ValidationError("frame rate must be positive")
@@ -70,26 +69,29 @@ class ReconParams:
 class Emage:
     """Reconstructed grayscale frame; pixels are row-major floats in [0, 1]."""
 
-    width_px: int
-    height_px: int
     pixels: np.ndarray
     frames_averaged: int
     source_meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         px = np.asarray(self.pixels, dtype=np.float32)
-        if px.shape != (self.height_px, self.width_px):
-            raise ValidationError(f"pixel grid {px.shape} != ({self.height_px}, {self.width_px})")
+        if px.ndim != 2:
+            raise ValidationError(f"pixel grid must be 2-D, got shape {px.shape}")
         if px.size and not (0.0 <= float(px.min()) and float(px.max()) <= 1.0):  # NaN fails both
             raise ValidationError("emage values must lie in [0, 1]")
         if self.frames_averaged < 1:
             raise ValidationError("frames_averaged must be >= 1")
         self.pixels = px
 
+    width_px = property(lambda self: self.pixels.shape[1])
+    height_px = property(lambda self: self.pixels.shape[0])
+
     def crop(self, x: int, y: int, w: int, h: int) -> "Emage":
+        if w < 1 or h < 1:
+            raise ValidationError(f"crop ({x},{y},{w},{h}) is empty")
         if x < 0 or y < 0 or x + w > self.width_px or y + h > self.height_px:
             raise ValidationError(f"crop ({x},{y},{w},{h}) escapes {self.width_px}x{self.height_px}")
-        return Emage(w, h, self.pixels[y : y + h, x : x + w], self.frames_averaged)
+        return Emage(self.pixels[y : y + h, x : x + w], self.frames_averaged)
 
     def save(self, path) -> None:
         write_pgm(path, self.pixels)
@@ -98,12 +100,11 @@ class Emage:
     @classmethod
     def load(cls, path) -> "Emage":
         px = read_pgm(path)
-        h, w = px.shape
         try:
             with read_record(str(path) + ".json") as meta:
-                return cls(w, h, px, int(meta.pop("frames_averaged", 1)), meta)
+                return cls(px, int(meta.pop("frames_averaged", 1)), meta)
         except FileNotFoundError:  # a bare PGM: one frame, no metadata
-            return cls(w, h, px, 1)
+            return cls(px, 1)
 
 
 def am_demod(recording: IqRecording) -> np.ndarray:
@@ -273,22 +274,22 @@ def _frame_start_row(avg: np.ndarray, blank_rows: int) -> int:
 def reconstruct(recording: IqRecording, params: ReconParams) -> Emage:
     """Resample each frame's envelope onto the pixel grid and average.
 
-    Sample position of grid cell g in frame i is i*L + g*spp with
-    L = fs / f_r and spp = fs / (W*H*f_r); linear interpolation between
-    envelope samples, frames averaged in index order, min-max normalized
-    (an all-equal result maps to 0.5).  The grid is interpolated in chunks
-    of _RECON_CHUNK cells, all frames of a chunk at once; every cell still
-    sums its frames in index order.
+    The grid is W = params.width_px by H = recording.timing.y_t (one row
+    per scan line); cell g of frame i is at sample i*fs/f_r + g*fs/(W*H*f_r),
+    linearly interpolated between envelope samples, frames averaged in
+    index order, min-max normalized (an all-equal result maps to 0.5).
+    The grid is interpolated in chunks of _RECON_CHUNK cells, all frames
+    of a chunk at once; every cell still sums its frames in index order.
 
     Three full-size arrays are held: the float64 envelope, the float64
     accumulator, which is averaged, aligned on and normalised in place,
     and the float32 pixels, which take the frame-start row rotation as
     they are written.  A NaN or inf sample is a ValidationError.
     """
-    sidecar_fr = recording.timing.f_r
-    if abs(params.f_r_hz - sidecar_fr) > 0.05 * sidecar_fr:
+    t = recording.timing
+    if abs(params.f_r_hz - t.f_r) > 0.05 * t.f_r:
         raise ValidationError(
-            f"params f_r {params.f_r_hz} deviates more than 5% from recorded {sidecar_fr}"
+            f"params f_r {params.f_r_hz} deviates more than 5% from recorded {t.f_r}"
         )
     mag = am_demod(recording)
     fs = recording.sample_rate_hz
@@ -301,7 +302,7 @@ def reconstruct(recording: IqRecording, params: ReconParams) -> Emage:
             f"recording holds {len(mag)} samples, less than one {frame_len:.0f}-sample frame"
         )
 
-    w, h = params.width_px, params.height_px
+    w, h = params.width_px, t.y_t
     spp = fs / (w * h * params.f_r_hz)
     acc = np.zeros(w * h, dtype=np.float64)
     for start in range(0, w * h, _RECON_CHUNK):
@@ -318,8 +319,7 @@ def reconstruct(recording: IqRecording, params: ReconParams) -> Emage:
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValidationError("recording holds non-finite samples")
 
-    t = recording.timing
-    start_row = _frame_start_row(avg, round((t.y_t - t.visible_h) * h / t.y_t))
+    start_row = _frame_start_row(avg, t.y_t - t.visible_h)
     if hi > lo:
         avg -= lo
         avg /= hi - lo
@@ -330,8 +330,6 @@ def reconstruct(recording: IqRecording, params: ReconParams) -> Emage:
     pixels[h - start_row :] = avg[:start_row]
 
     return Emage(
-        width_px=w,
-        height_px=h,
         pixels=pixels,
         frames_averaged=n_frames,
         source_meta={"params": asdict(params), "source": recording.sidecar()},

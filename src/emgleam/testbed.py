@@ -147,10 +147,10 @@ def _each(convert):
     return lambda text: tuple(convert(s) for s in text.split(",") if s.strip())
 
 
-def _value(section, key: str, convert, default: str | None = None):
-    """convert(section[key]) (or of the default); a missing or malformed
-    value is a ValidationError naming the section and the key."""
-    text = section.get(key, default)
+def _value(section, key: str, convert):
+    """convert(section[key]); a missing or malformed value is a
+    ValidationError naming the section and the key."""
+    text = section.get(key)
     if text is None:
         raise ValidationError(f"attacker model: [{section.name}] needs {key}")
     try:
@@ -159,12 +159,18 @@ def _value(section, key: str, convert, default: str | None = None):
         raise ValidationError(f"attacker model: [{section.name}] {key} = {text!r} is malformed") from None
 
 
+def _values(section, converters: dict) -> dict:
+    """_value of each key the section sets; the dataclasses default the rest."""
+    return {key: _value(section, key, convert) for key, convert in converters.items() if key in section}
+
+
 def parse_spec_file(path) -> AttackerModelSpec:
     """Read the five-section attacker-model document.
 
     Every section of SPEC_KEYS must be present and non-empty, and every key
-    must be one its section accepts; an incomplete, misspelled or malformed
-    specification is rejected rather than run with defaults.
+    must be one its section accepts.  A key left out takes its dimension's
+    dataclass default (the rates: the profile's; target_snr_db: none); a
+    misspelled key or a malformed or empty value is rejected.
     """
     cp = configparser.ConfigParser(interpolation=None)
     try:
@@ -182,15 +188,12 @@ def parse_spec_file(path) -> AttackerModelSpec:
             raise ValidationError(f"attacker model: [{section}] has unknown key {unknown[0]!r}")
 
     msg = cp["message"]
-    message = MessageDim(
-        letters="".join(s.strip().upper() for s in msg.get("letters", CHART_LETTERS).split(",") if s.strip()),
-    )
+    message = MessageDim(**_values(msg, {"letters": lambda text: "".join(_each(str.strip)(text)).upper()}))
     if msg.get("priors", "uniform").strip() != "uniform":
         raise ValidationError("message dimension: only uniform priors are supported")
 
     app = cp["message_appearance"]
-    appearance = AppearanceDim(scales=_value(app, "scales", _each(float), "") or CHART_SCALES,
-                               contrast=_value(app, "contrast", float, "1.0"))
+    appearance = AppearanceDim(**_values(app, {"scales": _each(float), "contrast": float}))
     if app.get("background", "white").strip() not in ("white", "plain"):
         raise ValidationError("appearance dimension: only a plain white background is supported")
 
@@ -202,32 +205,27 @@ def parse_spec_file(path) -> AttackerModelSpec:
         profile = make_panel_profile(
             visible_w=_value(hw, "visible_w", int),
             visible_h=_value(hw, "visible_h", int),
-            f_r=_value(hw, "f_r", float, "60"),
+            **_values(hw, {"f_r": float}),
         )
     else:
         profile = get_profile(profile_name)
     snr_text = hw.get("target_snr_db", "").strip().lower()
+    given = _values(hw, {"sample_rate_hz": float, "bandwidth_hz": float, "distance_r": float, "frames": int})
     hardware = HardwareDim(
         profile=profile,
-        sample_rate_hz=_value(hw, "sample_rate_hz", float, str(profile.sample_rate_hz)),
-        bandwidth_hz=_value(hw, "bandwidth_hz", float, str(profile.bandwidth_hz)),
         target_snr_db=None if snr_text in ("", "none", "off") else _value(hw, "target_snr_db", float),
-        distance_r=_value(hw, "distance_r", float, "1.0"),
-        frames=_value(hw, "frames", int, "1"),
+        # HardwareDim has no default rates: a rate left out is the profile's
+        **{"sample_rate_hz": profile.sample_rate_hz, "bandwidth_hz": profile.bandwidth_hz, **given},
     )
 
     prof = cp["device_profiling"]
     profiling = ProfilingDim(
-        train_items=_value(prof, "train_items_per_class_per_scale", _each(int), ""),
-        test_items=_value(prof, "test_items_per_class_per_scale", _each(int), ""),
+        train_items=_value(prof, "train_items_per_class_per_scale", _each(int)),
+        test_items=_value(prof, "test_items_per_class_per_scale", _each(int)),
     )
 
     res = cp["computational_resources"]
-    resources = ResourcesDim(
-        epochs=_value(res, "epochs", int, "40"),
-        batch_size=_value(res, "batch_size", int, "256"),
-        learning_rate=_value(res, "learning_rate", float, "0.001"),
-    )
+    resources = ResourcesDim(**_values(res, {"epochs": int, "batch_size": int, "learning_rate": float}))
     return AttackerModelSpec(message, appearance, hardware, profiling, resources)
 
 

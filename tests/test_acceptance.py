@@ -61,7 +61,7 @@ def test_criterion_01_round_trip_fidelity():
         raster = random_grid_raster(seed)
         leak = emanate(raster, LAB_TIMING, LAB_LEAK, frames=1)
         recording = capture(leak, ChannelModel(rng_seed=seed), sample_rate_hz=25e6)
-        emage = reconstruct(recording, ReconParams(LAB_TIMING.x_t, LAB_TIMING.y_t, LAB_TIMING.f_r))
+        emage = reconstruct(recording, ReconParams(LAB_TIMING.x_t, LAB_TIMING.f_r))
         reference = edge_reference(raster, LAB_TIMING, LAB_TIMING.x_t, LAB_TIMING.y_t)
         values.append(ncc(emage.pixels, reference))
     elapsed = time.time() - started
@@ -133,7 +133,7 @@ def test_criterion_05_averaging_law():
     def background_std(n):
         rec = IqRecording(LAB_FS, rec8.center_freq_hz,
                           rec8.samples[: int(round(n * frame_len))], rec8.timing, rec8.seed)
-        emage = reconstruct(rec, ReconParams(LAB_TIMING.x_t, LAB_TIMING.y_t, LAB_TIMING.f_r))
+        emage = reconstruct(rec, ReconParams(LAB_TIMING.x_t, LAB_TIMING.f_r))
         energy = emage.pixels.mean(axis=1)
         sums = np.convolve(energy, np.ones(4), mode="valid")
         j = int(np.argmin(sums))  # blanking rows carry noise only
@@ -322,7 +322,7 @@ def test_criterion_12_stage_determinism(tmp_path):
     # reconstruct
     recording = IqRecording.load(ca)
     ea, eb = tmp_path / "ea.pgm", tmp_path / "eb.pgm"
-    params = ReconParams(LAB_TIMING.x_t, LAB_TIMING.y_t, LAB_TIMING.f_r)
+    params = ReconParams(LAB_TIMING.x_t, LAB_TIMING.f_r)
     reconstruct(recording, params).save(ea)
     reconstruct(recording, params).save(eb)
     assert ea.read_bytes() == eb.read_bytes()

@@ -22,12 +22,12 @@ from helpers import phone_hardware
 
 
 def uniform_emage(w, h, value=0.5):
-    return Emage(w, h, np.full((h, w), value, dtype=np.float32), 1, {})
+    return Emage(np.full((h, w), value, dtype=np.float32), 1, {})
 
 
 def random_emage(w, h, seed=0):
     rng = np.random.default_rng(seed)
-    return Emage(w, h, rng.random((h, w), dtype=np.float32), 1, {})
+    return Emage(rng.random((h, w), dtype=np.float32), 1, {})
 
 
 def per_window_scores(emage, model, window, strides):
@@ -274,7 +274,7 @@ class TestReadCodeWithTrainedModel:
             x0 = 21 * (4 + shift)
             y0 = 31 * 3
             canvas[y0 : y0 + 31, x0 : x0 + 126] = crop
-            emage = Emage(canvas.shape[1], canvas.shape[0], np.clip(canvas, 0, 1), 1, {})
+            emage = Emage(np.clip(canvas, 0, 1), 1, {})
             amap = sliding_map(emage, model)
             argmaxes.append(np.unravel_index(int(np.argmax(amap.scores)), amap.scores.shape))
         (r0, c0), (r1, c1) = argmaxes

@@ -29,12 +29,13 @@ class TestBasics:
         ["emanate", "m.pgm", "--profile", "galaxy_a3", "--alpha", 0.5, "-o", "m.iq"],
         ["snr", "m.iq", "--band", 1e6],
         ["snr", "m.iq", "--resolution", 5e3],
+        ["reconstruct", "m.iq", "--height", 100, "-o", "e.pgm"],
     ], ids=["emanate-coupling", "reconstruct-seed", "snr-seed", "crop-seed", "attack-seed",
-            "emanate-alpha", "snr-band", "snr-resolution"])
+            "emanate-alpha", "snr-band", "snr-resolution", "reconstruct-height"])
     def test_flags_that_change_no_output_are_usage_errors(self, capsys, argv):
         # a coupling gain cancels against the SNR-calibrated noise; these four draw no random
-        # numbers; the emission is the first difference, and the meter reads the calibration's
-        # estimator over the whole band
+        # numbers; the emission is the first difference, the meter reads the calibration's
+        # estimator over the whole band, and an emage has one row per recorded scan line
         assert run(argv) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
 
@@ -230,8 +231,21 @@ class TestPipeline:
                                                                       "index.json.config.json"])
 
     @pytest.mark.parametrize("flags, message", [
+        (["--rows", 1, "--cols", 1, "--cell", "0x10"], "crop (0,0,0,10) is empty"),
+        (["--rows", 1, "--cols", 1, "--cell", "10x0"], "crop (0,0,10,0) is empty"),
+        (["--rows", 1, "--cols", 1, "--cell=-5x10"], "crop (0,0,-5,10) is empty"),
+        (["--rows", 0, "--cols", 1, "--cell", "10x10"], "rows and cols must be >= 1"),
+        (["--rows", 1, "--cols", 0, "--cell", "10x10"], "rows and cols must be >= 1"),
+    ], ids=["zero-width", "zero-height", "negative-width", "zero-rows", "zero-cols"])
+    def test_empty_crop_grid_is_validation_error(self, pipeline, tmp_path, capsys, flags, message):
+        # every file crop writes is one its own reader accepts; no crops is no output
+        outdir = tmp_path / "crops"
+        assert run(["crop", pipeline / "m_emage.pgm", *flags, "-o", outdir]) == 2
+        assert message in capsys.readouterr().err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("flags, message", [
         (["--width", 0], "reconstruction grid must be positive"),
-        (["--height", 0], "reconstruction grid must be positive"),
         (["--frame-rate", 0], "frame rate must be positive"),
         (["--profile", "galaxy_a3", "--width", 0], "reconstruction grid must be positive"),
     ])
@@ -650,6 +664,9 @@ class TestTestbedCommand:
         ("sample_rate_hz = 5e6", "sample_rate_hz = nan", "rates must be finite and positive"),
         ("bandwidth_hz = 2.5e6", "bandwidth_hz = nan", "rates must be finite and positive"),
         ("batch_size = 16", "batch_size = 0", "resources dimension: epochs and batch_size must be >= 1"),
+        # an empty value is refused, not replaced by the dimension's default
+        ("scales = 20", "scales =", "appearance dimension: empty scale set"),
+        ("letters = C,T", "letters =", "message dimension: empty letter set"),
     ])
     def test_out_of_range_spec_value_rejected(self, tmp_path, capsys, old, new, message):
         spec = tmp_path / "bad.ini"

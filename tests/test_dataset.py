@@ -41,7 +41,7 @@ def tree_hash(directory) -> str:
 
 def synthetic_emage(w=84, h=62, seed=0):
     rng = np.random.default_rng(seed)
-    return Emage(w, h, rng.random((h, w)).astype(np.float32), 1, {})
+    return Emage(rng.random((h, w)).astype(np.float32), 1, {})
 
 
 def fake_session(sid: str, flagged=False, n_items=10) -> Session:

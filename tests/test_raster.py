@@ -247,6 +247,13 @@ class TestPgmSerialization:
             write_pgm(p, np.array([[0.5, bad]]))
         assert not p.exists()
 
+    @pytest.mark.parametrize("shape", [(10, 0), (0, 10), (0, 0)])
+    def test_write_rejects_what_read_refuses(self, tmp_path, shape):
+        p = tmp_path / "x.pgm"
+        with pytest.raises(ValidationError, match=re.escape(f"must be 2-D and non-empty, got shape {shape}")):
+            write_pgm(p, np.zeros(shape))
+        assert not p.exists()
+
     def test_rejects_non_pgm(self, tmp_path):
         p = tmp_path / "bad.pgm"
         p.write_bytes(b"P6\n1 1\n255\n\x00\x00\x00")

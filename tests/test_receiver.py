@@ -63,7 +63,7 @@ def galaxy_capture():
 
 
 def lab_params(**kw):
-    return ReconParams(LAB_TIMING.x_t, LAB_TIMING.y_t, LAB_TIMING.f_r, **kw)
+    return ReconParams(LAB_TIMING.x_t, LAB_TIMING.f_r, **kw)
 
 
 def fake_recording(samples, fs=LAB_FS):
@@ -235,8 +235,7 @@ class TestReconstruct:
         pix[:, 50:54] = 1.0
         rec = lab_capture(ScreenRaster(LAB_W, LAB_H, pix, []))
         eps = 1e-3
-        emage = reconstruct(rec, ReconParams(LAB_TIMING.x_t, LAB_TIMING.y_t,
-                                             LAB_TIMING.f_r * (1 + eps)))
+        emage = reconstruct(rec, ReconParams(LAB_TIMING.x_t, LAB_TIMING.f_r * (1 + eps)))
         # content drifts by width_px * eps columns per reconstructed row;
         # track the shift of each row profile against an early row
         ref_row = emage.pixels[4]
@@ -257,7 +256,7 @@ class TestReconstruct:
         samples = (rng.standard_normal(n) + 1j * rng.standard_normal(n)).astype(np.complex64)
         rec = IqRecording(ip.sample_rate_hz, 0.0, samples, ip.timing(), 0)
         params = ip.recon_params()
-        cells = params.width_px * params.height_px
+        cells = params.width_px * rec.timing.y_t
         assert cells > receiver._RECON_CHUNK and cells % receiver._RECON_CHUNK
         chunked = reconstruct(rec, params)
         monkeypatch.setattr(receiver, "_RECON_CHUNK", cells)
@@ -305,12 +304,12 @@ class TestReconstruct:
         rec = capture(leak, ChannelModel(target_snr_db=25.0, rng_seed=2), ip.sample_rate_hz,
                       bandwidth_hz=ip.bandwidth_hz)
         params = ip.recon_params()
-        cells = params.width_px * params.height_px
+        cells = params.width_px * rec.timing.y_t
         # the float64 envelope and accumulator and the float32 pixels, plus
         # a slack for ten float64 interpolation temporaries of one chunk and
         # two column blocks of the alignment's medians (2.7 MB); one more
         # full-size copy, 5.5 MB even in float32, exceeds it
-        slack = 10 * 8 * receiver._RECON_CHUNK + 2 * 8 * params.height_px * receiver._MEDIAN_BLOCK
+        slack = 10 * 8 * receiver._RECON_CHUNK + 2 * 8 * rec.timing.y_t * receiver._MEDIAN_BLOCK
         bound = 8 * len(rec.samples) + 8 * cells + 4 * cells + slack
         assert slack < 4 * cells
         tracemalloc.start()
@@ -330,9 +329,40 @@ class TestReconstruct:
         with pytest.raises(ValidationError, match="non-finite"):
             reconstruct(replace(galaxy_capture, samples=samples), get_profile("galaxy_a3").recon_params())
 
+    @pytest.mark.parametrize("width", [LAB_TIMING.x_t, 50])
+    def test_lab_grid_height_is_the_line_count(self, width):
+        rec = lab_capture(random_grid_raster(4), snr_db=20.0, seed=1)
+        emage = reconstruct(rec, ReconParams(width, LAB_TIMING.f_r))
+        assert (emage.width_px, emage.height_px) == (width, rec.timing.y_t) == (width, LAB_TIMING.y_t)
+
+    @pytest.mark.parametrize("halve", [False, True])
+    def test_phone_grid_height_is_the_line_count(self, galaxy_capture, halve):
+        ga = get_profile("galaxy_a3")
+        params = ga.recon_params(width_px=ga.recon_w // 2) if halve else ga.recon_params()
+        emage = reconstruct(galaxy_capture, params)
+        assert emage.height_px == galaxy_capture.timing.y_t == ga.recon_h
+        assert emage.width_px == params.width_px
+
     def test_nan_pixel_is_rejected(self):
         with pytest.raises(ValidationError, match=r"\[0, 1\]"):
-            Emage(2, 2, [[np.nan, 0.5], [0.2, 0.1]], 1)
+            Emage([[np.nan, 0.5], [0.2, 0.1]], 1)
+
+    @pytest.mark.parametrize("shape", [(6,), (2, 3, 4)])
+    def test_emage_pixels_must_be_2d(self, shape):
+        with pytest.raises(ValidationError, match="must be 2-D"):
+            Emage(np.zeros(shape), 1)
+
+    def test_emage_size_is_its_pixel_shape(self):
+        emage = Emage(np.zeros((3, 5)), 1)
+        assert (emage.width_px, emage.height_px) == (5, 3)
+        crop = emage.crop(1, 1, 4, 2)
+        assert (crop.width_px, crop.height_px) == crop.pixels.shape[::-1] == (4, 2)
+
+    @pytest.mark.parametrize("w, h", [(0, 10), (10, 0), (-5, 10), (10, -5), (0, 0)])
+    def test_empty_crop_is_validation_error(self, w, h):
+        emage = Emage(np.zeros((40, 40)), 1)
+        with pytest.raises(ValidationError, match="is empty"):
+            emage.crop(0, 0, w, h)
 
     def test_too_short_rejected(self):
         rec = fake_recording(np.ones(1000))
@@ -342,7 +372,7 @@ class TestReconstruct:
     def test_frame_rate_must_match_sidecar(self):
         rec = lab_capture(random_grid_raster(5))
         with pytest.raises(ValidationError, match="deviates"):
-            reconstruct(rec, ReconParams(LAB_TIMING.x_t, LAB_TIMING.y_t, 70.0))
+            reconstruct(rec, ReconParams(LAB_TIMING.x_t, 70.0))
 
     def test_averaging_counts_frames(self):
         rec = lab_capture(random_grid_raster(6), frames=4)
@@ -363,7 +393,7 @@ class TestReconstruct:
 
     def test_emage_sidecar_errors_name_the_file(self, tmp_path):
         p = tmp_path / "e.pgm"
-        Emage(4, 3, np.zeros((3, 4)), 1).save(p)
+        Emage(np.zeros((3, 4)), 1).save(p)
         sidecar = tmp_path / "e.pgm.json"
         sidecar.write_text('{"frames_averaged": "two"}')
         with pytest.raises(ValidationError, match=f"^{re.escape(str(sidecar))}: malformed record"):
@@ -432,7 +462,7 @@ class TestFrameAlignmentOnPhones:
         pix[50:70] = 0.0
         leak = emanate(ScreenRaster(LAB_W, LAB_H, pix, []), timing, LAB_LEAK)
         rec = capture(leak, ChannelModel(), LAB_FS, bandwidth_hz=LAB_BW)
-        avg = reconstruct(rec, ReconParams(timing.x_t, timing.y_t, timing.f_r)).pixels
+        avg = reconstruct(rec, ReconParams(timing.x_t, timing.f_r)).pixels
         assert receiver._frame_start_row(avg, 20) == 70
         assert receiver._frame_start_row(avg, 0) == 0
 
@@ -486,4 +516,4 @@ class TestMeasureSnr:
 
     def test_recon_params_validation(self):
         with pytest.raises(ValidationError):
-            ReconParams(0, 10, 60.0)
+            ReconParams(0, 60.0)

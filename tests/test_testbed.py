@@ -133,6 +133,27 @@ class TestSpecFile:
         assert spec.profiling.train_items == (2, 2)
         assert spec.resources.epochs == 5
 
+    @pytest.mark.parametrize("kept, resources", [
+        ("epochs = 3", ResourcesDim(epochs=3)),
+        ("learning_rate = 0.01", ResourcesDim(learning_rate=0.01)),
+    ], ids=["epochs", "learning_rate"])
+    def test_left_out_keys_take_the_dimension_defaults(self, tmp_path, kept, resources):
+        # each section keeps one key, as a section may not be empty
+        path = tmp_path / "sparse.ini"
+        path.write_text(
+            "[message]\npriors = uniform\n\n"
+            "[message_appearance]\nbackground = white\n\n"
+            "[attack_hardware]\nprofile = custom\nvisible_w = 128\nvisible_h = 192\n\n"
+            "[device_profiling]\ntrain_items_per_class_per_scale = 2\ntest_items_per_class_per_scale = 2\n\n"
+            f"[computational_resources]\n{kept}\n"
+        )
+        spec = parse_spec_file(path)
+        assert spec.message == MessageDim()
+        assert spec.appearance == AppearanceDim()
+        assert spec.hardware == HardwareDim(PANEL, sample_rate_hz=PANEL.sample_rate_hz,
+                                            bandwidth_hz=PANEL.bandwidth_hz, target_snr_db=None)
+        assert spec.resources == resources
+
     def test_missing_section_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text(SPEC_TEXT.replace("[computational_resources]", "[something_else]"))
