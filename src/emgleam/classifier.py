@@ -7,7 +7,10 @@ trained with minibatch Adam on softmax cross-entropy.  Max and ReLU
 commute, so pooling first gives the map of ReLU-then-pool with a quarter
 of the ReLU work; backward can move only the sign of an exact zero.
 Forward, backward and the optimizer are implemented here directly; a
-finite-difference gradient check validates the backward pass.
+finite-difference gradient check validates the backward pass.  A model's
+parameters and gradients are one vector each, with the layers' weights and
+biases as views into them, so Adam, checkpoints and the gradient check
+read and write the model without gathering or scattering its layers.
 
 Between the input check and the flatten, activations are batch-innermost
 (C, H, W, N) maps, so no convolution makes a transposed copy, forward or
@@ -134,10 +137,9 @@ class _Conv:
     def __init__(self, c_in: int, c_out: int, k: int, dtype):
         self.w = np.zeros((c_out, c_in, k, k), dtype=dtype)
         self.b = np.zeros(c_out, dtype=dtype)
+        self.gw, self.gb = np.zeros_like(self.w), np.zeros_like(self.b)
         self.k = k
 
-    params = property(lambda self: [self.w, self.b])
-    grads = property(lambda self: [self.gw, self.gb])
     fan_in = property(lambda self: self.w.shape[1] * self.k * self.k)
 
     def _apply(self, x):
@@ -169,8 +171,8 @@ class _Conv:
 
     def param_grads(self, g):
         gm = g.reshape(g.shape[0], -1)
-        self.gw = (self._cols @ gm.T).T.reshape(self.w.shape)
-        self.gb = gm.sum(axis=1)
+        self.gw[...] = (self._cols @ gm.T).T.reshape(self.w.shape)
+        self.gb[...] = gm.sum(axis=1)
 
     def backward(self, g):
         self.param_grads(g)
@@ -194,9 +196,6 @@ class _MaxPool2:
     sends its gradient to the first of its maxima.  Backward copies the
     gradient's bits into that position and leaves +0.0 elsewhere.
     """
-
-    params = property(lambda self: [])
-    grads = property(lambda self: [])
 
     @staticmethod
     def _quadrants(a, h2, w2):
@@ -229,9 +228,6 @@ class _MaxPool2:
 
 
 class _Relu:
-    params = property(lambda self: [])
-    grads = property(lambda self: [])
-
     @staticmethod
     def infer(x):
         return np.multiply(x, x > 0, out=x)  # x is its layer's fresh output
@@ -246,9 +242,6 @@ class _Relu:
 
 class _Flatten:
     """(C, h, w, N) maps to contiguous (N, C*h*w) rows in (c, y, x) order."""
-
-    params = property(lambda self: [])
-    grads = property(lambda self: [])
 
     @staticmethod
     def infer(x):
@@ -266,9 +259,8 @@ class _Dense:
     def __init__(self, n_in: int, n_out: int, dtype):
         self.w = np.zeros((n_in, n_out), dtype=dtype)
         self.b = np.zeros(n_out, dtype=dtype)
+        self.gw, self.gb = np.zeros_like(self.w), np.zeros_like(self.b)
 
-    params = property(lambda self: [self.w, self.b])
-    grads = property(lambda self: [self.gw, self.gb])
     fan_in = property(lambda self: self.w.shape[0])
 
     def infer(self, x):
@@ -279,13 +271,16 @@ class _Dense:
         return self.infer(x)
 
     def backward(self, g):
-        self.gw = self._x.T @ g
-        self.gb = g.sum(axis=0)
+        np.matmul(self._x.T, g, out=self.gw)
+        self.gb[...] = g.sum(axis=0)
         return g @ self.w.T
 
 
 class CnnModel:
-    """Layer stack with a flat parameter-vector view."""
+    """Layer stack whose parameters and gradients are one vector each:
+    ``params`` and ``grads``, ``n_params`` long in the model's dtype, in
+    layer order with weights before bias.  Each conv and dense layer's
+    ``w``, ``b``, ``gw`` and ``gb`` are reshaped views of its slice."""
 
     def __init__(self, spec: CnnSpec, dtype=np.float32):
         self.spec = spec
@@ -308,7 +303,15 @@ class CnnModel:
             _Relu(),
             _Dense(f2, spec.n_classes, self.dtype),
         ]
-        self.n_params = sum(p.size for lay in self.layers for p in lay.params)
+        slots = [(lay, name) for lay in self.layers if isinstance(lay, (_Conv, _Dense)) for name in "wb"]
+        self.n_params = sum(getattr(lay, name).size for lay, name in slots)
+        self.params, self.grads = (np.zeros(self.n_params, self.dtype) for _ in range(2))
+        pos = 0
+        for lay, name in slots:
+            a = getattr(lay, name)
+            setattr(lay, name, self.params[pos : pos + a.size].reshape(a.shape))
+            setattr(lay, "g" + name, self.grads[pos : pos + a.size].reshape(a.shape))
+            pos += a.size
 
     def _check_input(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)
@@ -327,7 +330,8 @@ class CnnModel:
         return out
 
     def loss_and_grads(self, x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        """Mean cross-entropy over the batch; returns (loss, flat grads, logits)."""
+        """Mean cross-entropy over the batch; returns (loss, flat grads, logits),
+        the grads a copy of ``self.grads`` that later calls leave as it is."""
         logits = self.forward(x)
         y = np.asarray(y)
         n = logits.shape[0]
@@ -339,11 +343,10 @@ class CnnModel:
         for lay in reversed(self.layers[1:]):
             g = lay.backward(g)
         self.layers[0].param_grads(g)  # the crops' own gradient is never read
-        grads = np.concatenate([g.ravel() for lay in self.layers for g in lay.grads])
-        return loss, grads, logits
+        return loss, self.grads.copy(), logits
 
     def flat_params(self) -> np.ndarray:
-        return np.concatenate([p.ravel() for lay in self.layers for p in lay.params])
+        return self.params.copy()
 
     def set_flat_params(self, flat: np.ndarray) -> None:
         flat = np.asarray(flat, dtype=self.dtype)
@@ -351,11 +354,7 @@ class CnnModel:
             raise ValidationError(f"expected {self.n_params} parameters, got {flat.size}")
         if not np.all(np.isfinite(flat)):
             raise ValidationError("non-finite parameters")
-        pos = 0
-        for lay in self.layers:
-            for p in lay.params:
-                p[...] = flat[pos : pos + p.size].reshape(p.shape)
-                pos += p.size
+        self.params[...] = flat.reshape(-1)
 
     def _infer(self, x: np.ndarray) -> np.ndarray:
         out = self._check_input(x)
@@ -451,9 +450,10 @@ def train(model: CnnModel, train_set, val_set, config: TrainConfig) -> TrainResu
     returned model holds its parameters only.  Dropping them at every step
     instead lets the heap shrink and regrow each step, which slows training.
 
-    Adam updates m, v and the float64 parameters in place through three
-    work buffers (cast gradient, step, denominator), in the operation order
-    of the textbook expressions, so each value rounds as they would.
+    Adam updates m, v and a float64 master copy of ``model.params`` in
+    place through three work buffers (cast gradient, step, denominator), in
+    the operation order of the textbook expressions, so each value rounds
+    as they would; each step rounds the master copy into ``model.params``.
     """
     x_train, y_train = train_set
     x_val, y_val = val_set
@@ -501,7 +501,7 @@ def train(model: CnnModel, train_set, val_set, config: TrainConfig) -> TrainResu
             np.divide(m, 1 - _BETA1**t, out=step)
             step *= config.learning_rate  # lr*m_hat
             params -= np.divide(step, den, out=step)
-            model.set_flat_params(params)
+            np.copyto(model.params, params)  # the loss check above guards each step
         val_loss, val_acc = evaluate(model, x_val, y_val)
         history.append({
             "epoch": epoch,
@@ -560,7 +560,7 @@ def grad_check(
     y = rng.integers(0, spec.n_classes, size=2)
 
     base_loss, analytic, _ = model.loss_and_grads(x, y)
-    params = model.flat_params()
+    params = model.params  # each probe moves one coordinate of the model's own vector
     n = min(_CHECK_COORDS, params.size)
     coords = rng.permutation(params.size)
 
@@ -571,10 +571,8 @@ def grad_check(
             break
         saved = params[idx]
         params[idx] = saved + _CHECK_STEP
-        model.set_flat_params(params)
         lp, _, _ = model.loss_and_grads(x, y)
         params[idx] = saved - _CHECK_STEP
-        model.set_flat_params(params)
         lm, _, _ = model.loss_and_grads(x, y)
         params[idx] = saved
         d_fwd = (lp - base_loss) / _CHECK_STEP
@@ -586,14 +584,13 @@ def grad_check(
         numeric = (lp - lm) / (2 * _CHECK_STEP)
         denom = max(abs(analytic[idx]), abs(numeric), 1e-8)
         worst = max(worst, float(abs(analytic[idx] - numeric) / denom))
-    model.set_flat_params(params)
     return GradCheckReport(max_rel_error=worst, n_checked=int(checked), tolerance=tolerance)
 
 
 def save_model(model: CnnModel, path) -> None:
     """Binary weight file: magic, format version, spec block, f32 params."""
     spec_block = json.dumps({"spec": asdict(model.spec), "meta": model.meta}, sort_keys=True).encode()
-    params = model.flat_params().astype("<f4")
+    params = model.params.astype("<f4")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:

@@ -60,6 +60,7 @@ _DFT_BLOCK = 1 << 14  # spectrum values per block of the band-only DFT; the bloc
 # beats a full rfft (whose radix-p pass costs about p operations a sample),
 # provided the band needs at most p/4 output rows
 _PRUNE_P = (100, 1024)
+_HARMONIC = 5  # the pixel-clock harmonic that carries the leak (see profiles)
 
 
 @dataclass(frozen=True)
@@ -102,17 +103,11 @@ class DisplayTiming:
 
 @dataclass(frozen=True)
 class LeakageModel:
-    """Which pixel-clock harmonic carries the leak; the leak itself is the
-    circular first difference of the pixel stream."""
-
-    harmonic: int = 5
-
-    def __post_init__(self):
-        if self.harmonic < 1:
-            raise ValidationError("harmonic must be a positive integer")
+    """The leak rides harmonic ``_HARMONIC`` of the pixel clock; the leak
+    itself is the circular first difference of the pixel stream."""
 
     def carrier_hz(self, timing: DisplayTiming) -> float:
-        return self.harmonic * timing.pixel_clock_hz
+        return _HARMONIC * timing.pixel_clock_hz
 
 
 @dataclass

@@ -114,10 +114,11 @@ def render_symbols(label: str, w: int, h: int, contrast: float = 1.0) -> np.ndar
     """Render a symbol string into a (h, w) patch, background white.
 
     Single symbols are centered per the cell-fill rule; multi-symbol labels
-    split the width into equal cells (remainder to the last cell).  This is
-    the one glyph-placement routine used by every renderer, which is what
-    makes the label-fidelity invariant hold: re-rendering a region's label
-    into its rect reproduces the stored pixels exactly.
+    split the width into equal cells (remainder to the last cell).  The digit
+    grid and the security message place their glyphs through it, which is
+    what makes their label-fidelity invariant hold: re-rendering a region's
+    label into its rect reproduces the stored pixels exactly.  The eyechart
+    scales its letter to fill its square rect instead.
     """
     if not label:
         raise ValidationError("empty label")

@@ -7,6 +7,14 @@ growing training sets and their trained models) is built once and reused.
 
 from __future__ import annotations
 
+import os
+
+# One BLAS thread, pinned before numpy loads: the bit-equality tests compare
+# products whose last bits depend on how OpenBLAS splits them over threads.
+# A value set in the environment wins.
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(var, "1")
+
 import sys
 import time
 from dataclasses import dataclass, field

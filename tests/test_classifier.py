@@ -205,11 +205,10 @@ class TestInit:
     def test_biases_zero_and_weights_bounded(self):
         model = init_model(CnnSpec((31, 21), 10), seed=0)
         for lay in model.layers:
-            if lay.params:
-                w, b = lay.params
-                assert not b.any()
+            if hasattr(lay, "w"):
+                assert not lay.b.any()
                 limit = np.sqrt(6.0 / lay.fan_in)
-                assert np.max(np.abs(w)) <= limit
+                assert np.max(np.abs(lay.w)) <= limit
 
     def test_standard_input_yields_10_logits(self):
         model = init_model(CnnSpec((31, 21), 10), seed=1)
@@ -235,6 +234,51 @@ class TestInit:
     def test_layer_lists_need_two_entries(self, conv, fc):
         with pytest.raises(ValidationError, match="two conv channel counts and two dense sizes"):
             CnnSpec((20, 16), 4, conv_channels=conv, fc_sizes=fc)
+
+
+class TestParameterVector:
+    def test_layer_arrays_tile_the_two_vectors_in_flat_params_order(self):
+        model = init_model(SMALL, seed=0)
+        model.loss_and_grads(*blobs(4))
+        pos = 0
+        for lay in model.layers:
+            for name in ("w", "b") if hasattr(lay, "w") else ():
+                for arr, vec in ((getattr(lay, name), model.params), (getattr(lay, "g" + name), model.grads)):
+                    assert np.shares_memory(arr, vec) and arr.flags.c_contiguous
+                    start = arr.__array_interface__["data"][0] - vec.__array_interface__["data"][0]
+                    assert start == pos * vec.itemsize
+                pos += getattr(lay, name).size
+        assert pos == model.n_params == model.params.size == model.grads.size
+
+    def test_set_flat_params_reaches_the_layers(self):
+        model = init_model(SMALL, seed=0)
+        v = np.arange(model.n_params) / model.n_params
+        model.set_flat_params(v)
+        conv, dense = model.layers[0], model.layers[-1]
+        assert np.array_equal(conv.w.ravel(), v[: conv.w.size].astype(np.float32))
+        assert np.array_equal(dense.b, v[-dense.b.size :].astype(np.float32))
+        model.flat_params()[:] = 0.0  # a copy, not the model's storage
+        assert np.array_equal(model.params, v.astype(np.float32))
+
+    @pytest.mark.parametrize("bad, message", [
+        (lambda v: v[:-1], r"expected \d+ parameters, got \d+"),
+        (lambda v: np.where(np.arange(v.size) == 7, np.nan, v), "non-finite parameters"),
+    ], ids=["short", "nan"])
+    def test_set_flat_params_refuses_a_bad_vector(self, bad, message):
+        model = init_model(SMALL, seed=0)
+        before = model.flat_params()
+        with pytest.raises(ValidationError, match=message):
+            model.set_flat_params(bad(before.astype(np.float64)))
+        assert np.array_equal(model.params, before)
+
+    def test_returned_gradient_outlives_the_next_call(self):
+        model = init_model(SMALL, seed=0)
+        x, y = blobs(8, seed=1)
+        _, first, _ = model.loss_and_grads(x[:8], y[:8])
+        kept = first.copy()
+        _, second, _ = model.loss_and_grads(x[8:], y[8:])
+        assert np.array_equal(first, kept) and not np.array_equal(first, second)
+        assert np.array_equal(second, model.grads)
 
 
 class TestForward:

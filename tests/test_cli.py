@@ -521,6 +521,14 @@ class TestMalformedInputs:
         assert f"error: {model}: truncated header" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
+    def test_model_file_holding_a_nan(self, tmp_path, capsys):
+        model = tmp_path / "m.bin"
+        save_model(init_model(CnnSpec((24, 13), 10), seed=0), model)
+        model.write_bytes(model.read_bytes()[:-4] + np.float32(np.nan).tobytes())
+        assert run(["attack", "--model", model, "--session", tmp_path, "-o", tmp_path / "r.json"]) == 2
+        assert "non-finite parameters" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_raster_region_without_height(self, tmp_path, capsys):
         raster = tmp_path / "m.pgm"
         assert run(["render", "--message", "123456", "--screen", "540x960", "-o", raster]) == 0

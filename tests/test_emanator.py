@@ -88,7 +88,7 @@ class TestEmanate:
         assert list(nz_cols) == [30, 34]
 
     def test_carrier_tag(self):
-        leak = emanate(random_grid_raster(0), LAB_TIMING, LeakageModel(harmonic=5))
+        leak = emanate(random_grid_raster(0), LAB_TIMING, LeakageModel())
         assert leak.carrier_hz == 5 * LAB_TIMING.pixel_clock_hz
 
     @pytest.mark.parametrize("timing", [DisplayTiming(1, 1, 60.0, 1, 1), LAB_TIMING,
@@ -464,7 +464,3 @@ class TestChannelModel:
     def test_non_finite_snr_rejected(self, snr):
         with pytest.raises(ValidationError, match="finite"):
             ChannelModel(target_snr_db=snr)
-
-    def test_leakage_model_validation(self):
-        with pytest.raises(ValidationError):
-            LeakageModel(harmonic=0)
